@@ -45,7 +45,6 @@ func main() {
 		format     = flag.String("format", "table", "experiment output format: table | markdown | json")
 		jobs       = flag.Int("jobs", experiments.DefaultJobs(), "concurrent simulations for experiments (<=0 = NumCPU, or $LIBRA_JOBS)")
 		simWorkers = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "intra-frame rasterization workers per simulation (1 = serial reference engine, or $LIBRA_SIM_WORKERS); results are byte-identical for any value")
-		repWorkers = flag.Int("replay-workers", experiments.DefaultReplayWorkers(), "timing-replay classifier workers per simulation (1 = serial replay, or $LIBRA_REPLAY_WORKERS); results are byte-identical for any value")
 		renderElim = flag.Bool("render-elim", experiments.DefaultRenderElim(), "enable Rendering Elimination: skip tiles whose input signature matches the previous frame (or $LIBRA_RENDER_ELIM); pixels are unchanged, coherent frames get faster")
 		resultDir  = flag.String("result-dir", experiments.DefaultResultDir(), "persistent result store directory for -experiment runs (or $LIBRA_RESULT_DIR; empty = store disabled)")
 		heat       = flag.Bool("heatmap", false, "print the per-tile DRAM heatmap of the last frame (single run)")
@@ -65,9 +64,9 @@ func main() {
 	case *list:
 		printSuite()
 	case *experiment != "":
-		runExperiments(ctx, *experiment, *paper, *format, *jobs, *simWorkers, *repWorkers, *renderElim, *resultDir, *traceOut, *metricsOut)
+		runExperiments(ctx, *experiment, *paper, *format, *jobs, *simWorkers, *renderElim, *resultDir, *traceOut, *metricsOut)
 	case *game != "":
-		singleRun(ctx, *game, *policy, *rus, *cores, *frames, *screenW, *screenH, *l2kb, *simWorkers, *repWorkers, *renderElim, *heat, *jsonOut, *screenshot, *traceOut, *metricsOut)
+		singleRun(ctx, *game, *policy, *rus, *cores, *frames, *screenW, *screenH, *l2kb, *simWorkers, *renderElim, *heat, *jsonOut, *screenshot, *traceOut, *metricsOut)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -111,14 +110,13 @@ func printSuite() {
 	}
 }
 
-func singleRun(ctx context.Context, game, policy string, rus, cores, frames, w, h, l2kb, simWorkers, repWorkers int, renderElim, heat, jsonOut bool, screenshot, traceOut, metricsOut string) {
+func singleRun(ctx context.Context, game, policy string, rus, cores, frames, w, h, l2kb, simWorkers int, renderElim, heat, jsonOut bool, screenshot, traceOut, metricsOut string) {
 	cfg := libra.DefaultConfig(w, h)
 	cfg.RasterUnits = rus
 	cfg.CoresPerRU = cores
 	cfg.Policy = libra.Policy(policy)
 	cfg.L2KB = l2kb
 	cfg.SimWorkers = simWorkers
-	cfg.ReplayWorkers = repWorkers
 	cfg.RenderElim = renderElim
 	run, err := libra.NewRun(cfg, game)
 	if err != nil {
@@ -178,13 +176,12 @@ func singleRun(ctx context.Context, game, policy string, rus, cores, frames, w, 
 	}
 }
 
-func runExperiments(ctx context.Context, id string, paper bool, format string, jobs, simWorkers, repWorkers int, renderElim bool, resultDir, traceOut, metricsOut string) {
+func runExperiments(ctx context.Context, id string, paper bool, format string, jobs, simWorkers int, renderElim bool, resultDir, traceOut, metricsOut string) {
 	p := experiments.DefaultParams()
 	if paper {
 		p = experiments.PaperParams()
 	}
 	p.SimWorkers = simWorkers
-	p.ReplayWorkers = repWorkers
 	p.RenderElim = renderElim
 	r := experiments.NewRunner(p)
 	r.SetJobs(jobs)

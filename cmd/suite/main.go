@@ -44,7 +44,6 @@ func main() {
 		l2kb    = flag.Int("l2kb", 1024, "shared L2 KiB (0 = Table I 2MB)")
 		jobs    = flag.Int("jobs", experiments.DefaultJobs(), "concurrent simulations (<=0 = NumCPU, or $LIBRA_JOBS)")
 		simWork = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "intra-frame rasterization workers per simulation (1 = serial reference engine, or $LIBRA_SIM_WORKERS); stdout is byte-identical for any value")
-		repWork = flag.Int("replay-workers", experiments.DefaultReplayWorkers(), "timing-replay classifier workers per simulation (1 = serial replay, or $LIBRA_REPLAY_WORKERS); stdout is byte-identical for any value")
 		relim   = flag.Bool("render-elim", experiments.DefaultRenderElim(), "enable Rendering Elimination on every configuration (or $LIBRA_RENDER_ELIM); pixels unchanged, coherent frames skip tiles")
 		quiet   = flag.Bool("quiet", false, "suppress the stderr progress/ETA line")
 
@@ -75,7 +74,6 @@ func main() {
 	withL2 := func(c libra.Config) libra.Config {
 		c.L2KB = *l2kb
 		c.SimWorkers = *simWork
-		c.ReplayWorkers = *repWork
 		c.RenderElim = *relim
 		return c
 	}
@@ -100,8 +98,7 @@ func main() {
 		ScreenW: *screenW, ScreenH: *screenH,
 		Frames: *frames, Warmup: *warmup,
 		L2KB: *l2kb, SimWorkers: *simWork,
-		ReplayWorkers: *repWork,
-		RenderElim:    *relim,
+		RenderElim: *relim,
 	})
 	runner.SetContext(ctx)
 	if *resultDir != "" {
@@ -115,7 +112,7 @@ func main() {
 
 	// -experiment delegates to the shared registry (the same drivers
 	// cmd/librasim exposes), reusing this invocation's runner — so the
-	// result store, Ctrl-C handling and -jobs/-sim-workers/-replay-workers/-render-elim
+	// result store, Ctrl-C handling and -jobs/-sim-workers/-render-elim
 	// parameters all apply unchanged.
 	if *experiment != "" {
 		fn, ok := runner.Registry()[*experiment]

@@ -73,15 +73,6 @@ type Config struct {
 	// *across* simulations, SimWorkers speeds up each *single* simulation.
 	SimWorkers int
 
-	// ReplayWorkers parallelizes the cycle-accurate timing replay of each
-	// simulation across that many classifier goroutines (sim.Config.
-	// ReplayWorkers, DESIGN §15); 0 or 1 keeps the serial replay. Like
-	// SimWorkers it is host parallelism: results are byte-identical for any
-	// value and it is excluded from result-store keys. The two compose —
-	// SimWorkers shards the functional phase, ReplayWorkers the timing
-	// phase.
-	ReplayWorkers int
-
 	Policy Policy
 	// SupertileSize is the fixed supertile edge for PolicyStaticSupertile
 	// and PolicyTemperature (2, 4, 8 or 16).
@@ -188,9 +179,6 @@ func (c Config) Validate() error {
 	if c.SimWorkers < 0 {
 		return fmt.Errorf("libra: negative sim workers %d", c.SimWorkers)
 	}
-	if c.ReplayWorkers < 0 {
-		return fmt.Errorf("libra: negative replay workers %d", c.ReplayWorkers)
-	}
 	switch c.Policy {
 	case PolicyZOrder, PolicyStaticSupertile, PolicyTemperature, PolicyLIBRA,
 		PolicyHilbert, PolicyReverse, PolicyRandom, PolicyAltTemperature, "":
@@ -221,7 +209,6 @@ func (c Config) toCore() core.Config {
 	cc.Sim.RasterUnits = c.RasterUnits
 	cc.Sim.CoresPerRU = c.CoresPerRU
 	cc.Sim.Workers = c.SimWorkers
-	cc.Sim.ReplayWorkers = c.ReplayWorkers
 	switch c.Policy {
 	case PolicyStaticSupertile:
 		cc.Mode = core.ModeStaticSupertile

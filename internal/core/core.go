@@ -242,9 +242,7 @@ type GPU struct {
 // New builds a GPU from cfg.
 func New(cfg Config) *GPU {
 	grid := tiling.NewGrid(cfg.ScreenW, cfg.ScreenH)
-	hier := mem.NewHierarchy(cfg.L2, cfg.DRAM)
-	hier.IdealL1 = cfg.IdealMemory
-	hier.PrefetchNextLine = cfg.PrefetchTexture
+	hier := newHierarchy(cfg)
 	g := &GPU{
 		cfg:      cfg,
 		grid:     grid,
@@ -255,6 +253,15 @@ func New(cfg Config) *GPU {
 		adaptive: sched.NewAdaptive(cfg.Adaptive),
 	}
 	return g
+}
+
+// newHierarchy builds the shared L2 and DRAM of cfg, with its ideal-memory
+// and texture-prefetch modes applied.
+func newHierarchy(cfg Config) *mem.Hierarchy {
+	hier := mem.NewHierarchy(cfg.L2, cfg.DRAM)
+	hier.IdealL1 = cfg.IdealMemory
+	hier.PrefetchNextLine = cfg.PrefetchTexture
+	return hier
 }
 
 // Config returns the GPU's configuration.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/mem"
 	"repro/internal/raster"
 	"repro/internal/scene"
 	"repro/internal/sched"
@@ -49,13 +48,18 @@ func ReplayTrace(cfg Config, ft *trace.FrameTrace, passes int) ([]ReplayResult, 
 		return nil, fmt.Errorf("core: trace is %dx%d but config is %dx%d",
 			ft.ScreenW, ft.ScreenH, cfg.ScreenW, cfg.ScreenH)
 	}
-	g := New(cfg)
+	// The passes need only a GPU's scheduling state (buildScheduler reads the
+	// grid, the adaptive controller and the previous pass's tile table): no
+	// geometry pipeline, frame buffer or engine of its own.
+	g := &GPU{
+		cfg:      cfg,
+		grid:     tiling.NewGrid(cfg.ScreenW, cfg.ScreenH),
+		adaptive: sched.NewAdaptive(cfg.Adaptive),
+	}
 	if len(ft.Tiles) != g.grid.NumTiles() {
 		return nil, fmt.Errorf("core: trace has %d tiles, grid has %d", len(ft.Tiles), g.grid.NumTiles())
 	}
-	hier := mem.NewHierarchy(cfg.L2, cfg.DRAM)
-	hier.IdealL1 = cfg.IdealMemory
-	hier.PrefetchNextLine = cfg.PrefetchTexture
+	hier := newHierarchy(cfg)
 	eng := sim.NewEngine(cfg.Sim, g.grid, hier)
 
 	var out []ReplayResult
@@ -114,10 +118,7 @@ func ReplayPFR(cfg Config, frames []*trace.FrameTrace) (sim.FrameOutput, error) 
 	}
 	simCfg := cfg.Sim
 	simCfg.RasterUnits = len(frames)
-	hier := mem.NewHierarchy(cfg.L2, cfg.DRAM)
-	hier.IdealL1 = cfg.IdealMemory
-	hier.PrefetchNextLine = cfg.PrefetchTexture
-	eng := sim.NewEngine(simCfg, grid, hier)
+	eng := sim.NewEngine(simCfg, grid, newHierarchy(cfg))
 	out := eng.RunRaster(sim.FrameInput{
 		WorksByRU: works,
 		Scheduler: sched.NewPFR(grid, len(frames)),

@@ -34,12 +34,6 @@ type Params struct {
 	// results — and hence every figure and table — are byte-identical for
 	// any value.
 	SimWorkers int
-	// ReplayWorkers parallelizes each simulation's cycle-accurate timing
-	// replay across that many classifier goroutines
-	// (libra.Config.ReplayWorkers, DESIGN §15); 0/1 = serial replay. Like
-	// SimWorkers it is pure host parallelism: byte-identical results,
-	// excluded from store keys.
-	ReplayWorkers int
 	// RenderElim enables Rendering Elimination on every simulation the
 	// experiments run (libra.Config.RenderElim). Unlike SimWorkers it IS
 	// part of a result's identity: skipped tiles change cycle and energy
@@ -377,7 +371,6 @@ func column(rows []Row, k int) []float64 {
 func (r *Runner) scale(cfg libra.Config) libra.Config {
 	cfg.L2KB = r.P.L2KB
 	cfg.SimWorkers = r.P.SimWorkers
-	cfg.ReplayWorkers = r.P.ReplayWorkers
 	cfg.RenderElim = r.P.RenderElim
 	return cfg
 }

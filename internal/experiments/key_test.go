@@ -45,11 +45,10 @@ func keyOf(t testing.TB, p Params, cfg libra.Config) string {
 }
 
 // TestKeyCoversEveryConfigField walks libra.Config by reflection: mutating
-// any field must change the store key — except the host parallelism knobs
-// SimWorkers and ReplayWorkers, which are excluded by design (warm runs may
-// change them and must still hit). New Config fields are covered
-// automatically; a field that needs exclusion must be added here
-// deliberately.
+// any field must change the store key — except SimWorkers, the host
+// parallelism knob, which is excluded by design (warm runs may change it
+// and must still hit). New Config fields are covered automatically; a field
+// that needs exclusion must be added here deliberately.
 func TestKeyCoversEveryConfigField(t *testing.T) {
 	p := storeParams()
 	base := keyOf(t, p, NewRunner(p).Baseline())
@@ -62,9 +61,9 @@ func TestKeyCoversEveryConfigField(t *testing.T) {
 			continue
 		}
 		k := keyOf(t, p, cfg)
-		if name == "SimWorkers" || name == "ReplayWorkers" {
+		if name == "SimWorkers" {
 			if k != base {
-				t.Errorf("Config.%s changed the key: host parallelism must be excluded", name)
+				t.Errorf("Config.SimWorkers changed the key: host parallelism must be excluded")
 			}
 			continue
 		}
@@ -131,15 +130,18 @@ func TestKeySpecRejectsUnknownGame(t *testing.T) {
 }
 
 // FuzzResultKey fuzzes (field, delta) over libra.Config: any effective
-// mutation must change the key unless the field is a host parallelism knob
-// (SimWorkers, ReplayWorkers), and key derivation must stay stable across
-// repeated calls.
+// mutation must change the key unless the field is SimWorkers, and key
+// derivation must stay stable across repeated calls.
 func FuzzResultKey(f *testing.F) {
 	ct := reflect.TypeOf(libra.Config{})
 	for i := 0; i < ct.NumField(); i++ {
 		f.Add(i, int64(1))
 		f.Add(i, int64(-3))
 	}
+	// mutateField turns a zero delta into +1: seed that path on the first and
+	// last fields.
+	f.Add(0, int64(0))
+	f.Add(ct.NumField()-1, int64(0))
 	p := storeParams()
 	base := keyOf(f, p, NewRunner(p).Baseline())
 	f.Fuzz(func(t *testing.T, field int, delta int64) {
@@ -159,9 +161,9 @@ func FuzzResultKey(f *testing.F) {
 		if k1 != k2 {
 			t.Fatalf("key derivation unstable: %s vs %s", k1, k2)
 		}
-		if name := ct.Field(field).Name; name == "SimWorkers" || name == "ReplayWorkers" {
+		if name := ct.Field(field).Name; name == "SimWorkers" {
 			if k1 != base {
-				t.Fatalf("Config.%s mutation changed the key", name)
+				t.Fatalf("SimWorkers mutation changed the key")
 			}
 		} else if k1 == base {
 			t.Fatalf("Config.%s mutation did not change the key", name)

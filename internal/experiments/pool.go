@@ -35,21 +35,6 @@ func DefaultSimWorkers() int {
 	return 1
 }
 
-// DefaultReplayWorkers returns the timing-replay worker count used when no
-// explicit -replay-workers value is given: the LIBRA_REPLAY_WORKERS
-// environment variable when it holds a positive integer, otherwise 1 (the
-// serial replay). The same rationale as DefaultSimWorkers applies: replay
-// workers multiply with -jobs, so saturating by default would oversubscribe
-// the host.
-func DefaultReplayWorkers() int {
-	if s := os.Getenv("LIBRA_REPLAY_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
 // DefaultRenderElim returns the Rendering Elimination default used when no
 // explicit -render-elim value is given: true exactly when the
 // LIBRA_RENDER_ELIM environment variable holds a true-ish boolean

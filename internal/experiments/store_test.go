@@ -55,8 +55,7 @@ func TestStoreWarmRunSimulatesNothing(t *testing.T) {
 	}
 
 	warm := storeRunner(t, dir)
-	warm.P.SimWorkers = 4    // host parallelism must not change the key
-	warm.P.ReplayWorkers = 4 // ditto for the parallel timing replay
+	warm.P.SimWorkers = 4 // host parallelism must not change the key
 	for _, g := range games {
 		run, err := warm.TryRun(warm.Baseline(), g)
 		if err != nil {

@@ -54,19 +54,6 @@ func (s KeySpec) Key() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TileKey addresses one tile's result within one frame of a run: the run's
-// full key, the frame index, the tile id, and the tile's Rendering
-// Elimination input signature (tiling.TileSignature). Two frames of the same
-// run that bin identical inputs to a tile share its signature — and hence
-// its tile key — which is what lets skipped-tile results compose with
-// cross-frame and cross-run memoization: the signature already encodes every
-// pixel-relevant input, so equal keys mean equal tile results.
-func TileKey(spec KeySpec, frame, tile int, sig uint64) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "tile\nrun=%s\nframe=%d\ntile=%d\nsig=%016x\n", spec.Key(), frame, tile, sig)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // FlattenInto records every exported field of the struct v (recursing into
 // nested structs) as a "prefix.Field"→value pair in dst. Values are
 // formatted with %v, which is deterministic for every type the simulator

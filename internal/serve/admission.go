@@ -68,8 +68,7 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 		return a.admit(), nil
 	default:
 	}
-	if n := a.waiting.Add(1); n > a.maxQueue {
-		a.waiting.Add(-1)
+	if !a.enqueue() {
 		a.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
@@ -80,6 +79,21 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	case <-ctx.Done():
 		a.aborted.Add(1)
 		return nil, ctx.Err()
+	}
+}
+
+// enqueue reserves one waiter slot. The compare-and-swap never stores a
+// count above maxQueue, so Waiting() stays within its bound even between a
+// full queue's check and the caller's rejection.
+func (a *Admission) enqueue() bool {
+	for {
+		n := a.waiting.Load()
+		if n >= a.maxQueue {
+			return false
+		}
+		if a.waiting.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
 }
 

@@ -119,6 +119,7 @@ func TestRunRejectsMalformed(t *testing.T) {
 		{"missing game", `{"frames":2}`, http.StatusBadRequest},
 		{"unknown game", `{"game":"nope"}`, http.StatusBadRequest},
 		{"unknown field", `{"game":"Jet","bogus":1}`, http.StatusBadRequest},
+		{"unknown config field", `{"game":"Jet","config":{"Bogus":1}}`, http.StatusBadRequest},
 		{"trailing data", `{"game":"Jet"} {}`, http.StatusBadRequest},
 		{"excess frames", fmt.Sprintf(`{"game":"Jet","frames":%d}`, MaxFrames+1), http.StatusBadRequest},
 		{"negative warmup", `{"game":"Jet","frames":2,"warmup":-1}`, http.StatusBadRequest},

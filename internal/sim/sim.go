@@ -53,21 +53,6 @@ type Config struct {
 	// to the serial engine for any Workers value.
 	Workers int
 
-	// ReplayWorkers parallelizes the cycle-accurate timing replay itself
-	// (replay.go): values above 1 classify the per-core texture-L1 streams
-	// on that many classifier goroutines ahead of the single deterministic
-	// drain, which applies all shared-resource interactions (L2, DRAM,
-	// scheduler decisions, telemetry) at the authoritative cycles. Results
-	// stay byte-identical to the serial replay for any value (DESIGN §15).
-	// Values above 1 force the render farm on (pre-rendered tile work is
-	// what the classifiers read), widened to at least ReplayWorkers.
-	ReplayWorkers int
-	// ReplayEpoch bounds the replay lookahead window in tiles for the
-	// single-RU pre-pull (replay.go): 0 selects the default, negative means
-	// one epoch per frame (unbounded lookahead). The window affects overlap
-	// only, never results — epoch 1 and epoch ∞ are byte-identical.
-	ReplayEpoch int
-
 	// Filtering is the texture sampling footprint of the texture units.
 	Filtering raster.Filtering
 
@@ -182,11 +167,6 @@ type Engine struct {
 	// path in which each Raster Unit rasterizes its own tiles inline.
 	farm *renderFarm
 
-	// rfarm, when non-nil, classifies texture-L1 streams concurrently with
-	// the timing drain (Config.ReplayWorkers > 1, see replay.go); nil keeps
-	// the fused serial replay.
-	rfarm *replayFarm
-
 	// rec, when non-nil, receives per-tile spans for the observability
 	// layer. The nil check keeps the disabled hot path branch-only.
 	rec telemetry.Recorder
@@ -254,15 +234,7 @@ type rasterUnit struct {
 	// scratch is the RU-owned reusable TileWork the serial path renders
 	// into; its buffers are reset and refilled at every tile, so steady-state
 	// rendering stops allocating once they reach the hot-tile watermark.
-	scratch raster.TileWork
-	// tileOut, in parallel-replay mode, is the current tile's classified
-	// L1 outcome record, acquired lazily at the first quad batch so the
-	// drain overlaps classification with tile setup and other RUs' work.
-	tileOut *replayTile
-	// repCursor indexes this RU's replay stream (tiles consumed so far).
-	repCursor int
-	// ocur is the per-core consumption cursor into tileOut.outc.
-	ocur       []int
+	scratch    raster.TileWork
 	quadIdx    int
 	tileActive bool
 	tileAcq    int64 // cycle the tile was acquired (telemetry span start)
@@ -300,20 +272,8 @@ func NewEngine(cfg Config, grid tiling.Grid, hier *mem.Hierarchy) *Engine {
 		}
 		e.rus = append(e.rus, ru)
 	}
-	if cfg.Workers > 1 || cfg.ReplayWorkers > 1 {
-		// The replay farm consumes pre-rendered tile work, so ReplayWorkers
-		// alone forces the render farm on, widened to the replay width.
-		fcfg := cfg
-		if fcfg.Workers < cfg.ReplayWorkers {
-			fcfg.Workers = cfg.ReplayWorkers
-		}
-		e.farm = newRenderFarm(fcfg, grid)
-	}
-	if cfg.ReplayWorkers > 1 {
-		e.rfarm = newReplayFarm(cfg, hier, e.rus)
-		for _, ru := range e.rus {
-			ru.ocur = make([]int, cfg.CoresPerRU)
-		}
+	if cfg.Workers > 1 {
+		e.farm = newRenderFarm(cfg, grid)
 	}
 	return e
 }
@@ -414,19 +374,11 @@ func (e *Engine) RunRaster(in FrameInput) FrameOutput {
 		ru.tileActive = false
 		ru.quadIdx = 0
 		ru.rr = 0
-		ru.tileOut = nil
-		ru.repCursor = 0
 		ru.stats = RUStats{StartCycle: in.StartCycle}
 		for c := range ru.coreFree {
 			ru.coreFree[c] = in.StartCycle
 			ru.rings[c].reset()
 		}
-	}
-	if e.rfarm != nil {
-		// Epoch-parallel replay: classifier goroutines run the L1-local half
-		// of the texture accesses ahead of the drain loop below (replay.go).
-		e.rfarm.begin(in)
-		defer e.rfarm.finish()
 	}
 
 	for {
@@ -476,15 +428,7 @@ func (e *Engine) nextRU() *rasterUnit {
 // batch.
 func (e *Engine) step(ru *rasterUnit, in FrameInput) {
 	if !ru.tileActive {
-		var tile int
-		if e.rfarm != nil && e.rfarm.prepull {
-			// Single-RU: the scheduler call sequence is static, so the farm
-			// pre-pulls decisions up to the epoch window and feeds the
-			// classifiers early; the drain consumes them in the same order.
-			tile = e.rfarm.nextTile(in)
-		} else {
-			tile = in.Scheduler.NextTile(ru.id)
-		}
+		tile := in.Scheduler.NextTile(ru.id)
 		if tile < 0 {
 			ru.done = true
 			if ru.stats.FinishCycle < ru.now {
@@ -512,11 +456,6 @@ func (e *Engine) beginTile(ru *rasterUnit, in FrameInput, tile int) {
 			e.rec.TileSkipped(ru.id, tile, ru.now)
 		}
 		return
-	}
-	if e.rfarm != nil && !e.rfarm.prepull {
-		// Multi-RU: the tile→RU assignment is a timing decision the drain
-		// just made, so the tile enters its classification stream only now.
-		e.rfarm.submit(ru.id, tile)
 	}
 	if in.WorksByRU != nil {
 		ru.work = &in.WorksByRU[ru.id][tile]
@@ -565,16 +504,6 @@ func (e *Engine) beginTile(ru *rasterUnit, in FrameInput, tile int) {
 // processBatch replays up to BatchQuads quads of the current tile against
 // the memory system, then yields to the engine's global ordering.
 func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
-	if e.rfarm != nil && ru.tileOut == nil {
-		// First quad batch of the tile: adopt its classified outcomes. The
-		// wait is the only drain-side synchronization point and usually
-		// resolves without blocking — classification started at dispatch.
-		ru.tileOut = e.rfarm.wait(ru.id, ru.repCursor)
-		ru.repCursor++
-		for c := range ru.ocur {
-			ru.ocur[c] = 0
-		}
-	}
 	quads := ru.work.Quads
 	limit := ru.quadIdx + e.cfg.BatchQuads
 	if limit > len(quads) {
@@ -602,16 +531,7 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 		var maxLat int64
 		ru.stats.TexAccesses += uint64(q.Samples)
 		for _, line := range ru.work.TexLines[q.TexStart : q.TexStart+uint32(q.TexCount)] {
-			var res mem.AccessResult
-			if ru.tileOut != nil {
-				// Parallel replay: the L1-local half already ran on a
-				// classifier; apply the shared half at the drain's cycle.
-				o := ru.tileOut.outc[c][ru.ocur[c]]
-				ru.ocur[c]++
-				res = e.hier.ReplayThroughL1(ru.texL1[c], start, line, false, o)
-			} else {
-				res = e.hier.AccessThroughL1(ru.texL1[c], start, line, false)
-			}
+			res := e.hier.AccessThroughL1(ru.texL1[c], start, line, false)
 			ru.stats.TexLineAccesses++
 			if res.Level != mem.LevelL1 {
 				ru.stats.TexMisses++
@@ -693,5 +613,4 @@ func (e *Engine) finishTile(ru *rasterUnit, in FrameInput, dram int) {
 		ru.stats.FinishCycle = end
 	}
 	ru.tileActive = false
-	ru.tileOut = nil
 }

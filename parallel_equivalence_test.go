@@ -1,6 +1,7 @@
 package libra_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -189,93 +190,33 @@ func TestGoldenFrameHashesParallel(t *testing.T) {
 	}
 }
 
-// renderMatrixFramesReplay is renderMatrixFramesRE with the replay-worker
-// axis added — the full three-axis cell.
-func renderMatrixFramesReplay(t *testing.T, game string, simWorkers, replayWorkers, frames int, re bool) ([]libra.FrameResult, []uint32) {
+// captureGoldenFrame renders frame 0 of a benchmark on the golden
+// configuration, then captures frame 1 — the golden frame — as a trace.
+func captureGoldenFrame(t *testing.T, game string, simWorkers int) (libra.FrameResult, []byte) {
 	t.Helper()
-	cfg := equivalenceConfig(simWorkers)
-	cfg.ReplayWorkers = replayWorkers
-	cfg.RenderElim = re
+	cfg := libra.Baseline(320, 192, 8)
+	cfg.SimWorkers = simWorkers
 	r, err := libra.NewRun(cfg, game)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.RenderFrames(frames), r.FramePixels()
+	r.RenderFrame()
+	res, data, err := r.CaptureTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, data
 }
 
-// TestReplayEquivalenceMatrix is the three-axis matrix of the epoch-parallel
-// replay (DESIGN §15): every registered benchmark ×
-// {serial, sim-workers 4} × {replay-workers 1, 2, 4} × {RE off, on}. Within
-// each Rendering Elimination setting, every cell must reproduce the serial
-// rw=1 reference exactly — full FrameResult DeepEqual (cycles, FrameHash,
-// cache and DRAM statistics, per-RU load, per-tile heatmaps), formatted
-// stdout lines via the summary, and final pixels. Across the RE axis the
-// rendered output (pixels, FrameHash) must be identical as ever. This is the
-// contract stated on Config.ReplayWorkers: the parallel replay is a
-// host-side execution detail that must never be observable in results.
-func TestReplayEquivalenceMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders the whole suite twelve times")
-	}
-	const frames = 3
-	cells := []struct{ sw, rw int }{{4, 1}, {0, 2}, {0, 4}, {4, 2}, {4, 4}}
-	for _, b := range libra.Benchmarks() {
-		b := b
-		t.Run(b.Abbrev, func(t *testing.T) {
-			t.Parallel()
-			var refPixByRE [2][]uint32
-			var refHashByRE [2][]uint64
-			for reIdx, re := range []bool{false, true} {
-				reName := "RE off"
-				if re {
-					reName = "RE on"
-				}
-				ref, refPix := renderMatrixFramesReplay(t, b.Abbrev, 0, 1, frames, re)
-				refSum := libra.Summarize(ref, 1).String()
-				refPixByRE[reIdx] = refPix
-				for i := range ref {
-					refHashByRE[reIdx] = append(refHashByRE[reIdx], ref[i].FrameHash)
-				}
-				for _, cell := range cells {
-					got, gotPix := renderMatrixFramesReplay(t, b.Abbrev, cell.sw, cell.rw, frames, re)
-					for i := range ref {
-						if !reflect.DeepEqual(ref[i], got[i]) {
-							t.Errorf("%s sw=%d rw=%d frame %d diverges from serial reference:\nserial:   %s\nparallel: %s",
-								reName, cell.sw, cell.rw, i, frameLine(ref[i]), frameLine(got[i]))
-						}
-					}
-					if sum := libra.Summarize(got, 1).String(); sum != refSum {
-						t.Errorf("%s sw=%d rw=%d summary diverges:\nserial:   %s\nparallel: %s",
-							reName, cell.sw, cell.rw, refSum, sum)
-					}
-					if !reflect.DeepEqual(refPix, gotPix) {
-						t.Errorf("%s sw=%d rw=%d final frame pixels diverge from serial reference",
-							reName, cell.sw, cell.rw)
-					}
-				}
-			}
-			// Across the RE axis: rendered output is inviolable regardless of
-			// how the replay is parallelized.
-			if !reflect.DeepEqual(refPixByRE[0], refPixByRE[1]) {
-				t.Errorf("RE on changes final frame pixels")
-			}
-			for i := range refHashByRE[0] {
-				if refHashByRE[0][i] != refHashByRE[1][i] {
-					t.Errorf("frame %d: RE on changes FrameHash %#x -> %#x",
-						i, refHashByRE[0][i], refHashByRE[1][i])
-				}
-			}
-		})
-	}
-}
-
-// TestGoldenFrameHashesReplay is the 4×4 golden-hash twin: 4-worker
-// rasterization composed with 4-worker timing replay must reproduce the
-// committed golden hashes exactly, tying the fully parallel engine to the
-// same long-lived reference the serial renderer answers to.
+// TestGoldenFrameHashesReplay is the golden-hash twin of the trace-replay
+// front door: capturing the golden frame as a trace (CaptureTrace) on the
+// 4-worker render farm must render the committed golden hash, and the
+// captured trace — the input every ReplayTrace re-timing consumes — must be
+// byte-identical to the serial engine's capture, as must the capturing
+// frame's result.
 func TestGoldenFrameHashesReplay(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders the whole suite")
+		t.Skip("renders the whole suite twice")
 	}
 	for _, b := range libra.Benchmarks() {
 		b := b
@@ -285,15 +226,18 @@ func TestGoldenFrameHashesReplay(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: no golden hash recorded", b.Abbrev)
 			}
-			cfg := libra.Baseline(320, 192, 8)
-			cfg.SimWorkers = 4
-			cfg.ReplayWorkers = 4
-			r, err := libra.NewRun(cfg, b.Abbrev)
-			if err != nil {
-				t.Fatal(err)
+			ref, refTrace := captureGoldenFrame(t, b.Abbrev, 0)
+			got, gotTrace := captureGoldenFrame(t, b.Abbrev, 4)
+			if got.FrameHash != want {
+				t.Errorf("%s: 4-worker captured frame hash %#x, golden %#x", b.Abbrev, got.FrameHash, want)
 			}
-			if got := r.RenderFrames(2)[1].FrameHash; got != want {
-				t.Errorf("%s: 4x4-worker frame hash %#x, golden %#x", b.Abbrev, got, want)
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("%s: capturing frame diverges on the render farm:\nserial:   %s\nparallel: %s",
+					b.Abbrev, frameLine(ref), frameLine(got))
+			}
+			if !bytes.Equal(refTrace, gotTrace) {
+				t.Errorf("%s: trace captured on the render farm differs from the serial capture (%d vs %d bytes)",
+					b.Abbrev, len(gotTrace), len(refTrace))
 			}
 		})
 	}
