@@ -15,27 +15,29 @@ import (
 	"os"
 
 	libra "repro"
+	"repro/internal/experiments"
 )
 
 func main() {
+	cli := experiments.CLI{Name: "heatmap", P: experiments.DefaultParams()}
+	flag.IntVar(&cli.P.Frames, "frames", 4, "frames to render before sampling")
+	flag.IntVar(&cli.P.ScreenW, "w", cli.P.ScreenW, "screen width")
+	flag.IntVar(&cli.P.ScreenH, "h", cli.P.ScreenH, "screen height")
 	var (
 		game    = flag.String("game", "SuS", "benchmark abbreviation")
-		frames  = flag.Int("frames", 4, "frames to render before sampling")
-		screenW = flag.Int("w", 640, "screen width")
-		screenH = flag.Int("h", 384, "screen height")
 		superK  = flag.Int("super", 0, "also print the KxK-supertile aggregation (0 = off)")
 		pgmPath = flag.String("pgm", "", "write the tile heatmap as a PGM image to this path")
 	)
-	flag.Parse()
+	cli.ParseCommandLine()
 
-	cfg := libra.DefaultConfig(*screenW, *screenH)
-	cfg.L2KB = 1024
+	cfg := libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH)
+	cfg.L2KB = cli.P.L2KB
 	run, err := libra.NewRun(cfg, *game)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	results := run.RenderFrames(*frames)
+	results := run.RenderFrames(cli.P.Frames)
 	last := results[len(results)-1]
 
 	fmt.Printf("%s: per-tile DRAM accesses, frame %d (%d tiles)\n",

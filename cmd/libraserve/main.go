@@ -35,25 +35,27 @@ import (
 )
 
 func main() {
+	// -sim-workers is forced onto every request: host parallelism is the
+	// operator's budget, not the client's.
+	cli := experiments.CLI{Name: "libraserve", P: experiments.DefaultParams()}
+	cli.RegisterServiceFlags(flag.CommandLine)
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 		addrFile    = flag.String("addr-file", "", "write the resolved listen address to this file (for scripts binding port 0)")
-		resultDir   = flag.String("result-dir", experiments.DefaultResultDir(), "persistent result store directory (or $LIBRA_RESULT_DIR; empty = store disabled)")
-		simWorkers  = flag.Int("sim-workers", experiments.DefaultSimWorkers(), "intra-frame rasterization workers forced onto every request (results are byte-identical for any value)")
 		maxInFlight = flag.Int("max-inflight", experiments.DefaultJobs(), "concurrent simulations before requests queue")
 		maxQueue    = flag.Int("max-queue", 64, "queued requests before /v1/run answers 429")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request simulation deadline (0 = none); expiry aborts at the next frame boundary with 504")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM/SIGINT before in-flight simulations are aborted at their next frame boundary")
 		trace       = flag.Bool("trace", false, "allow POST /v1/run?trace=1 to stream Chrome trace-event JSON")
 	)
-	flag.Parse()
+	cli.ParseCommandLine()
 	logger := log.New(os.Stderr, "libraserve: ", log.LstdFlags)
 
 	// The server's base context is NOT the signal context: SIGTERM must drain
 	// gracefully first, and only the drain-budget expiry aborts simulations.
 	srv, err := serve.NewServer(context.Background(), serve.Config{
-		ResultDir:      *resultDir,
-		SimWorkers:     *simWorkers,
+		ResultDir:      cli.ResultDir,
+		SimWorkers:     cli.P.SimWorkers,
 		MaxInFlight:    *maxInFlight,
 		MaxQueue:       *maxQueue,
 		RequestTimeout: *reqTimeout,
@@ -75,7 +77,7 @@ func main() {
 		}
 	}
 	logger.Printf("listening on %s (inflight=%d queue=%d store=%q)",
-		resolved, *maxInFlight, *maxQueue, *resultDir)
+		resolved, *maxInFlight, *maxQueue, cli.ResultDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

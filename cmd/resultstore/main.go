@@ -18,18 +18,20 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/resultstore"
 )
 
 func main() {
-	dir := flag.String("dir", os.Getenv("LIBRA_RESULT_DIR"), "result store directory (or $LIBRA_RESULT_DIR)")
+	var dir string
+	experiments.ResultDirVar(flag.CommandLine, &dir, "dir", "result store directory (or $LIBRA_RESULT_DIR)")
 	flag.Usage = usage
 	flag.Parse()
-	if *dir == "" || flag.NArg() < 1 {
+	if dir == "" || flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
 	}
-	st, err := resultstore.Open(*dir)
+	st, err := resultstore.Open(dir)
 	if err != nil {
 		fatal(err)
 	}

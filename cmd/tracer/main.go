@@ -15,6 +15,7 @@ import (
 	"os"
 
 	libra "repro"
+	"repro/internal/experiments"
 )
 
 func main() {
@@ -26,8 +27,8 @@ func main() {
 		policy  = flag.String("policy", "libra", "replay scheduler policy")
 		rus     = flag.Int("rus", 2, "raster units for replay")
 		passes  = flag.Int("passes", 4, "replay passes")
-		screenW = flag.Int("w", 640, "screen width")
-		screenH = flag.Int("h", 384, "screen height")
+		screenW = flag.Int("w", experiments.DefaultParams().ScreenW, "screen width")
+		screenH = flag.Int("h", experiments.DefaultParams().ScreenH, "screen height")
 	)
 	flag.Parse()
 
@@ -44,7 +45,7 @@ func main() {
 
 func doRecord(path, game string, frame, w, h int) {
 	cfg := libra.DefaultConfig(w, h)
-	cfg.L2KB = 1024
+	cfg.L2KB = experiments.DefaultParams().L2KB
 	run, err := libra.NewRun(cfg, game)
 	if err != nil {
 		fail(err)
@@ -70,7 +71,7 @@ func doReplay(path, policy string, rus, passes, w, h int) {
 		fail(err)
 	}
 	cfg := libra.DefaultConfig(w, h)
-	cfg.L2KB = 1024
+	cfg.L2KB = experiments.DefaultParams().L2KB
 	cfg.RasterUnits = rus
 	cfg.CoresPerRU = 4
 	if rus == 1 {

@@ -104,7 +104,9 @@ func ReplayPFR(cfg Config, frames []*trace.FrameTrace) (sim.FrameOutput, error) 
 		return sim.FrameOutput{}, fmt.Errorf("core: no frames to replay")
 	}
 	grid := tiling.NewGrid(cfg.ScreenW, cfg.ScreenH)
-	works := make([][]raster.TileWork, len(frames))
+	// One Works slice, frame after frame: the PFR scheduler hands RU i the
+	// ids i·NumTiles + t, so RU i replays frame i.
+	works := make([]raster.TileWork, 0, len(frames)*grid.NumTiles())
 	for i, ft := range frames {
 		if ft.ScreenW != cfg.ScreenW || ft.ScreenH != cfg.ScreenH {
 			return sim.FrameOutput{}, fmt.Errorf("core: frame %d is %dx%d, config is %dx%d",
@@ -114,13 +116,13 @@ func ReplayPFR(cfg Config, frames []*trace.FrameTrace) (sim.FrameOutput, error) 
 			return sim.FrameOutput{}, fmt.Errorf("core: frame %d has %d tiles, grid has %d",
 				i, len(ft.Tiles), grid.NumTiles())
 		}
-		works[i] = ft.Tiles
+		works = append(works, ft.Tiles...)
 	}
 	simCfg := cfg.Sim
 	simCfg.RasterUnits = len(frames)
 	eng := sim.NewEngine(simCfg, grid, newHierarchy(cfg))
 	out := eng.RunRaster(sim.FrameInput{
-		WorksByRU: works,
+		Works:     works,
 		Scheduler: sched.NewPFR(grid, len(frames)),
 	})
 	return out, nil

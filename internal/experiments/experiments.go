@@ -52,6 +52,21 @@ func PaperParams() Params {
 	return Params{ScreenW: 1920, ScreenH: 1080, Frames: 25, Warmup: 3}
 }
 
+// Validate reports the first value no simulation can run with: a frame
+// window of fewer than one frame, a warm-up outside [0, frames), or a
+// negative worker count.
+func (p Params) Validate() error {
+	switch {
+	case p.Frames < 1:
+		return fmt.Errorf("frames %d < 1", p.Frames)
+	case p.Warmup < 0 || p.Warmup >= p.Frames:
+		return fmt.Errorf("warmup %d outside [0, frames)", p.Warmup)
+	case p.SimWorkers < 0:
+		return fmt.Errorf("negative sim workers %d", p.SimWorkers)
+	}
+	return nil
+}
+
 // TotalCores is the shader-core budget of the headline comparison: the
 // baseline has one 8-core Raster Unit, LIBRA two 4-core Raster Units.
 const TotalCores = 8
@@ -75,8 +90,7 @@ type Runner struct {
 	mu    sync.Mutex
 	cache map[string]*flight
 
-	sims     atomic.Int64 // simulations actually executed (cache misses)
-	progress *Progress    // optional per-simulation observer
+	sims atomic.Int64 // simulations actually executed (cache misses)
 
 	// store, when non-nil, is the persistent result layer under the
 	// in-memory cache; fingerprint is the code identity mixed into every
@@ -134,13 +148,6 @@ func NewRunner(p Params) *Runner {
 // driver collects into pre-indexed slots and the simulator itself is
 // deterministic per (config, game).
 func (r *Runner) SetJobs(n int) { r.pool = NewPool(n) }
-
-// Jobs returns the runner's fan-out width.
-func (r *Runner) Jobs() int { return r.pool.Jobs() }
-
-// SetProgress attaches a reporter notified after each executed simulation
-// (cache hits do not tick). Pass nil to detach.
-func (r *Runner) SetProgress(p *Progress) { r.progress = p }
 
 // Sims returns how many simulations the runner actually executed — followers
 // and repeat lookups recall the cached result and do not count.
@@ -289,7 +296,6 @@ func (r *Runner) lead(ctx context.Context, cfg libra.Config, game string) (gr *G
 		if spec, kerr := r.KeySpec(cfg, game); kerr == nil {
 			storeKey = spec.Key()
 			if gr := r.storeGet(storeKey, game); gr != nil {
-				r.progress.Done()
 				return gr, nil
 			}
 			// Writer lock: exactly one process simulates this key. When the
@@ -299,7 +305,6 @@ func (r *Runner) lead(ctx context.Context, cfg libra.Config, game string) (gr *G
 			if release, lerr := r.store.Lock(storeKey); lerr == nil {
 				defer release()
 				if gr := r.storeGet(storeKey, game); gr != nil {
-					r.progress.Done()
 					return gr, nil
 				}
 			} else {
@@ -342,7 +347,6 @@ func (r *Runner) execute(ctx context.Context, cfg libra.Config, game string) (*G
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	r.sims.Add(1)
-	r.progress.Done()
 	return &GameRun{Game: game, Frames: frames, Summary: libra.Summarize(frames, r.P.Warmup)}, nil
 }
 
@@ -477,6 +481,16 @@ func ratio(num, den float64) float64 {
 		return 0
 	}
 	return num / den
+}
+
+// GainPct is the speedup of over against base in percent. A zero-cycle run
+// (an empty frame window) reports 0 rather than NaN or Inf, so tables and
+// their averages stay finite.
+func GainPct(base, over int64) float64 {
+	if over == 0 {
+		return 0
+	}
+	return (float64(base)/float64(over) - 1) * 100
 }
 
 // mean of a slice (0 when empty).

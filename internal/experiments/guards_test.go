@@ -44,3 +44,23 @@ func TestBurstinessEmptyAndFlat(t *testing.T) {
 		t.Errorf("flat series: cv=%v peak=%v, want 0, 2", cv, peak)
 	}
 }
+
+// TestGainPctFinite pins the zero-cycle behaviour of the suite and sweep
+// comparison columns: a degenerate run must print +0.00, not NaN or Inf.
+func TestGainPctFinite(t *testing.T) {
+	if g := GainPct(100, 0); g != 0 {
+		t.Errorf("GainPct(100, 0) = %v, want 0", g)
+	}
+	if g := GainPct(0, 0); g != 0 {
+		t.Errorf("GainPct(0, 0) = %v, want 0", g)
+	}
+	if g := GainPct(150, 100); g != 50 {
+		t.Errorf("GainPct(150, 100) = %v, want 50", g)
+	}
+	if g := GainPct(0, 100); math.IsNaN(g) || g != -100 {
+		t.Errorf("GainPct(0, 100) = %v, want -100", g)
+	}
+	if m := mean(nil); m != 0 {
+		t.Errorf("mean(nil) = %v, want 0", m)
+	}
+}

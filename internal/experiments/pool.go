@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -11,38 +9,7 @@ import (
 // DefaultJobs returns the fan-out width used when no explicit -jobs value is
 // given: the LIBRA_JOBS environment variable when it holds a positive
 // integer, otherwise runtime.NumCPU().
-func DefaultJobs() int {
-	if s := os.Getenv("LIBRA_JOBS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.NumCPU()
-}
-
-// DefaultSimWorkers returns the intra-frame worker count used when no
-// explicit -sim-workers value is given: the LIBRA_SIM_WORKERS environment
-// variable when it holds a positive integer, otherwise 1 (the serial
-// reference engine). Unlike DefaultJobs this does not default to NumCPU:
-// the experiment drivers already saturate the host across simulations, and
-// intra-frame workers multiply with -jobs.
-func DefaultSimWorkers() int {
-	if s := os.Getenv("LIBRA_SIM_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
-// DefaultRenderElim returns the Rendering Elimination default used when no
-// explicit -render-elim value is given: true exactly when the
-// LIBRA_RENDER_ELIM environment variable holds a true-ish boolean
-// ("1", "t", "true", ...).
-func DefaultRenderElim() bool {
-	v, err := strconv.ParseBool(os.Getenv("LIBRA_RENDER_ELIM"))
-	return err == nil && v
-}
+func DefaultJobs() int { return envPositive("LIBRA_JOBS", runtime.NumCPU()) }
 
 // Pool fans indexed jobs out to a bounded set of workers. Workers pull the
 // next index from a shared atomic counter, so load balances dynamically even

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 
 	libra "repro"
 	"repro/internal/resultstore"
@@ -73,8 +72,3 @@ func (r *Runner) storeGet(key, game string) *GameRun {
 	}
 	return &GameRun{Game: game, Frames: frames, Summary: libra.Summarize(frames, r.P.Warmup)}
 }
-
-// DefaultResultDir returns the store directory used when no explicit
-// -result-dir is given: the LIBRA_RESULT_DIR environment variable, or ""
-// (store disabled).
-func DefaultResultDir() string { return os.Getenv("LIBRA_RESULT_DIR") }

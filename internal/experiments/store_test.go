@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -310,14 +311,21 @@ func TestSetStoreDefaultsFingerprint(t *testing.T) {
 	}
 }
 
+// TestDefaultResultDir pins the store directory used when no explicit
+// -result-dir is given: $LIBRA_RESULT_DIR, or "" (store disabled).
 func TestDefaultResultDir(t *testing.T) {
+	resultDir := func() string {
+		var dir string
+		ResultDirVar(flag.NewFlagSet("t", flag.ContinueOnError), &dir, "result-dir", "")
+		return dir
+	}
 	t.Setenv("LIBRA_RESULT_DIR", "")
-	if d := DefaultResultDir(); d != "" {
+	if d := resultDir(); d != "" {
 		t.Fatalf("unset env: %q, want empty (store disabled)", d)
 	}
 	t.Setenv("LIBRA_RESULT_DIR", "/some/dir")
-	if d := DefaultResultDir(); d != "/some/dir" {
-		t.Fatalf("DefaultResultDir = %q", d)
+	if d := resultDir(); d != "/some/dir" {
+		t.Fatalf("-result-dir default = %q", d)
 	}
 }
 

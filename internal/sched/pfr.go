@@ -12,13 +12,17 @@ type PFR struct {
 }
 
 // NewPFR builds a PFR scheduler: each of numRUs Raster Units traverses the
-// complete grid in Z-order (its own frame's tiles).
+// complete grid in Z-order (its own frame's tiles). RU i's ids are offset by
+// i·NumTiles, so they index frame i in a tile-work slice that holds the
+// frames one after another.
 func NewPFR(grid tiling.Grid, numRUs int) *PFR {
 	base := grid.Traversal(tiling.OrderMorton)
 	queues := make([][]int, numRUs)
 	for i := range queues {
 		q := make([]int, len(base))
-		copy(q, base)
+		for k, t := range base {
+			q[k] = i*grid.NumTiles() + t
+		}
 		queues[i] = q
 	}
 	return &PFR{queues: queues}

@@ -377,9 +377,11 @@ func TestPFRScheduler(t *testing.T) {
 	if len(a[0]) != g.NumTiles() || len(a[1]) != g.NumTiles() {
 		t.Fatalf("PFR queues: %d and %d tiles, want %d each", len(a[0]), len(a[1]), g.NumTiles())
 	}
+	// Both frames use the same traversal; RU 1's ids index the second frame.
 	for i := range a[0] {
-		if a[0][i] != a[1][i] {
-			t.Fatal("both frames must use the same traversal")
+		if a[1][i] != a[0][i]+g.NumTiles() {
+			t.Fatalf("step %d: RU 1 got id %d, want %d (RU 0's tile %d offset by %d)",
+				i, a[1][i], a[0][i]+g.NumTiles(), a[0][i], g.NumTiles())
 		}
 	}
 }

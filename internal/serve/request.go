@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	libra "repro"
+	"repro/internal/experiments"
 	"repro/internal/workloads"
 )
 
@@ -28,19 +29,18 @@ const (
 	MaxL2KB = 64 * 1024
 )
 
-// DefaultFrames and DefaultWarmup apply when a /v1/run request omits the
-// frame window. They mirror cmd/librasim's single-run defaults so the same
-// request is comparable across the two front ends.
-const (
-	DefaultFrames = 8
-	DefaultWarmup = 2
-)
+// DefaultFrames is the service's frame window when a /v1/run request omits
+// it. An omitted warm-up follows experiments.DefaultWarmup (2 frames, 0 for
+// windows of at most 2).
+const DefaultFrames = 8
 
 // RunRequest is the body of POST /v1/run: a benchmark, a GPU configuration
-// and a frame window. Zero-valued Config fields take the library defaults
-// (exactly as cmd/librasim fills them); Frames/Warmup default to
-// DefaultFrames/DefaultWarmup, with Warmup clamped to 0 when the window is
-// too short to discard warm-up frames (cmd/librasim's rule).
+// and a frame window. The service's own defaults fill what a request omits:
+// DefaultFrames frames with experiments.DefaultWarmup, the standard
+// 640×384 screen of experiments.DefaultParams, two 4-core Raster Units
+// under the LIBRA policy, and Table I's 2 MB L2 (L2KB 0). cmd/librasim's
+// single run defaults differ (10 frames, a 1024 KB L2), so a byte-identical
+// comparison passes every field explicitly.
 type RunRequest struct {
 	Game   string       `json:"game"`
 	Config libra.Config `json:"config"`
@@ -79,21 +79,19 @@ func DecodeRunRequest(raw []byte) (RunRequest, error) {
 		return RunRequest{}, fmt.Errorf("frames %d outside [1, %d]", req.Frames, MaxFrames)
 	}
 	if req.Warmup == nil {
-		w := DefaultWarmup
-		if w >= req.Frames {
-			w = 0
-		}
+		w := experiments.DefaultWarmup(req.Frames)
 		req.Warmup = &w
 	}
-	if *req.Warmup < 0 || *req.Warmup >= req.Frames {
-		return RunRequest{}, fmt.Errorf("warmup %d outside [0, frames)", *req.Warmup)
+	if err := (experiments.Params{Frames: req.Frames, Warmup: *req.Warmup}).Validate(); err != nil {
+		return RunRequest{}, err
 	}
 
-	// Configuration defaults (the same shape cmd/librasim builds), then the
-	// service caps on top of the library's own Validate.
+	// Configuration defaults, then the service caps on top of the
+	// library's own Validate.
 	cfg := &req.Config
 	if cfg.ScreenW == 0 && cfg.ScreenH == 0 {
-		cfg.ScreenW, cfg.ScreenH = 640, 384
+		d := experiments.DefaultParams()
+		cfg.ScreenW, cfg.ScreenH = d.ScreenW, d.ScreenH
 	}
 	if cfg.RasterUnits == 0 {
 		cfg.RasterUnits = 2

@@ -321,16 +321,12 @@ type FrameInput struct {
 	FB        *raster.FrameBuffer
 	Scheduler sched.Scheduler
 	// Works, when non-nil, replays pre-rendered tile work (trace-driven
-	// mode) instead of rasterizing Scene/Prims/Lists; indexed by tile id.
+	// mode) instead of rasterizing Scene/Prims/Lists; indexed by the ids
+	// the scheduler hands out (tile ids, or frame·NumTiles + tile under PFR).
 	// The slots remain owned by their producer and are valid only for this
 	// frame; retaining one requires TileWork.Clone.
 	//libra:transient
 	Works []raster.TileWork
-	//libra:transient
-	// WorksByRU, when non-nil, gives each Raster Unit its own tile-work
-	// array (parallel frame rendering: RU i renders frame i); indexed
-	// [ru][tile]. Takes precedence over Works.
-	WorksByRU [][]raster.TileWork
 	// OnTileWork, when non-nil, receives every tile's work trace as it is
 	// rendered (trace recording). The TileWork's slices are owned by the
 	// engine's reusable scratch and are valid only for the duration of the
@@ -365,7 +361,7 @@ func (e *Engine) RunRaster(in FrameInput) FrameOutput {
 	// function of (Scene, Prims, Lists, tile), so the replay consumes inputs
 	// identical to the serial path's inline rasterization and every counter
 	// stays byte-identical (see parallel.go).
-	if e.farm != nil && in.Works == nil && in.WorksByRU == nil {
+	if e.farm != nil && in.Works == nil {
 		in.Works = e.farm.renderFrame(in)
 	}
 	for _, ru := range e.rus {
@@ -457,9 +453,7 @@ func (e *Engine) beginTile(ru *rasterUnit, in FrameInput, tile int) {
 		}
 		return
 	}
-	if in.WorksByRU != nil {
-		ru.work = &in.WorksByRU[ru.id][tile]
-	} else if in.Works != nil {
+	if in.Works != nil {
 		ru.work = &in.Works[tile]
 	} else {
 		ru.renderer.RenderTileInto(&ru.scratch, in.Scene, in.Prims, in.Lists.Lists[tile], tile, in.FB)
