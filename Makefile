@@ -22,8 +22,11 @@ COVERAGE_MIN ?= 73.5
 # Where bench-gate writes the BENCH_ci.json record of its run (CI archives
 # it as an artifact).
 BENCH_RECORD ?= /tmp/libra-bench/BENCH_ci.json
+# Where `make profile` keeps its CPU profile and the test binary pprof
+# symbolizes it with.
+PROFILE_DIR ?= /tmp/libra-profile
 
-.PHONY: build test race fmt vet lint lint-fix-check bench bench-json bench-gate bench-gate-update cover determinism trace-smoke store-smoke serve-smoke fuzz ci
+.PHONY: build test race fmt vet lint lint-fix-check bench bench-json bench-gate bench-gate-update profile cover determinism trace-smoke store-smoke serve-smoke fuzz ci
 
 build:
 	$(GO) build $(PKGS)
@@ -62,9 +65,15 @@ lint-fix-check:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' -timeout 0 $(PKGS)
 
+# The Frame benchmarks behind BENCH_ci.json. A frame benchmark's allocs/op
+# is the frame loop's occasional list growth spread over b.N frames, so it
+# is comparable only between runs of equal b.N: -benchtime 10x fixes b.N
+# instead of letting the host's speed choose it.
+BENCH_FRAME_FLAGS := -bench 'Frame' -benchmem -benchtime 10x -count 5 -run '^$$' -timeout 0
+
 # Timed benchmark runs converted to the BENCH_ci.json record CI archives.
 bench-json:
-	$(GO) test -bench 'Frame' -benchmem -count 5 -run '^$$' -timeout 0 . | tee /tmp/libra-bench.txt
+	$(GO) test $(BENCH_FRAME_FLAGS) . | tee /tmp/libra-bench.txt
 	$(GO) run ./cmd/benchjson -o BENCH_ci.json < /tmp/libra-bench.txt
 
 # Allocation/perf regression gate against the committed BENCH_ci.json:
@@ -74,14 +83,25 @@ bench-json:
 # the archived record and the gate. Refresh the baseline with
 # `make bench-gate-update` after an intentional change.
 bench-gate:
-	$(GO) test -bench 'Frame' -benchmem -count 5 -run '^$$' -timeout 0 . | tee /tmp/libra-bench.txt
+	$(GO) test $(BENCH_FRAME_FLAGS) . | tee /tmp/libra-bench.txt
 	mkdir -p $(dir $(BENCH_RECORD))
 	$(GO) run ./cmd/benchjson -o $(BENCH_RECORD) < /tmp/libra-bench.txt
 	$(GO) run ./cmd/benchjson -check -baseline BENCH_ci.json < /tmp/libra-bench.txt
 
 bench-gate-update:
-	$(GO) test -bench 'Frame' -benchmem -count 5 -run '^$$' -timeout 0 . | tee /tmp/libra-bench.txt
+	$(GO) test $(BENCH_FRAME_FLAGS) . | tee /tmp/libra-bench.txt
 	$(GO) run ./cmd/benchjson -check -update -baseline BENCH_ci.json < /tmp/libra-bench.txt
+
+# Where a steady-state frame's host time goes: BenchmarkFrame (SuS, LIBRA
+# 2 RU, 640×384) under the CPU profiler, then the 25 heaviest functions by
+# self time, with cumulative time beside them (DESIGN.md's frame cost
+# table). Open the profile further with
+# `go tool pprof $(PROFILE_DIR)/libra.test $(PROFILE_DIR)/cpu.prof`.
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkFrame$$' -benchtime 40x -timeout 0 \
+		-cpuprofile $(PROFILE_DIR)/cpu.prof -o $(PROFILE_DIR)/libra.test .
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/libra.test $(PROFILE_DIR)/cpu.prof
 
 # Statement coverage with the same floor the CI coverage job enforces.
 cover:

@@ -1,8 +1,10 @@
 package raster
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/gpipe"
 	"repro/internal/scene"
 	"repro/internal/shader"
@@ -82,5 +84,28 @@ func TestQuadTexRangesStayConsistentUnderFiltering(t *testing.T) {
 	}
 	if total != len(w.TexLines) {
 		t.Errorf("quad counts %d != stream %d", total, len(w.TexLines))
+	}
+}
+
+// TestBilinearStepOnTruncatedChain samples a texture whose mip chain stops
+// at 16×16 (three of its seven levels) at a level minified past the end of
+// the chain. The sample reads the last stored level, so its bilinear
+// neighbours must be one texel of that level apart: the footprint equals
+// the one sampled at the last level itself, not one stepped by the texel
+// size of a level that is not stored.
+func TestBilinearStepOnTruncatedChain(t *testing.T) {
+	tex := scene.NewTexture(0, 64, 64, 0x1000, 3)
+	r := NewRenderer(tiling.NewGrid(32, 32))
+	r.SetFiltering(FilterBilinear)
+	footprint := func(level int) []uint64 {
+		var w TileWork
+		r.sampleFootprint(&w, 0, tex, geom.V2(0.1, 0.1), level)
+		return w.TexLines
+	}
+	last := footprint(tex.Levels - 1)
+	for level := tex.Levels; level < 8; level++ {
+		if got := footprint(level); !slices.Equal(got, last) {
+			t.Errorf("level %d footprint %#x, want the last level's %#x", level, got, last)
+		}
 	}
 }

@@ -110,6 +110,9 @@ type Renderer struct {
 	filter Filtering
 	zbuf   [tiling.TileSize * tiling.TileSize]float32
 	cbuf   [tiling.TileSize * tiling.TileSize]uint32
+	// levels is rasterPrim's per-quad mip level of each sampled texture,
+	// kept here so its storage outlives one primitive.
+	levels []int
 }
 
 // NewRenderer builds a tile renderer for the given grid with nearest
@@ -198,9 +201,10 @@ func makeEdge(ax, ay, bx, by float32) edge {
 	a := -(by - ay)
 	b := bx - ax
 	c := -(a*ax + b*ay)
-	// Top-left rule in a y-up space: left edges go down (b < 0 means the
-	// edge direction has dy < 0 — wait, dy = by-ay = b's source); an edge is
-	// "top" if it is horizontal and points left, "left" if it goes down.
+	// Top-left fill rule: a pixel center exactly on an edge (e == 0) belongs
+	// to the triangle only if the edge is a left edge (it runs toward
+	// smaller y, dy < 0) or a top edge (horizontal, running toward smaller
+	// x), so a center on the edge shared by two triangles is shaded once.
 	dy := by - ay
 	dx := bx - ax
 	topLeft := dy < 0 || (dy == 0 && dx < 0)
@@ -216,9 +220,55 @@ func (e edge) inside(v float32) bool {
 	return v == 0 && e.topLeft
 }
 
+// triangle is the setup of one counter-clockwise triangle: its edge
+// functions, whose values at a pixel center times invArea are the
+// barycentrics λ0, λ1, λ2, and the vertex attributes they weight.
+type triangle struct {
+	e12, e20, e01 edge // λ0, λ1, λ2
+	invArea       float32
+	v             [3]*geom.Vertex
+	invW          [3]float32
+}
+
+// interp interpolates depth, UV and color at the pixel center whose edge
+// values are ev12, ev20 and ev01 (the values the coverage test computed),
+// perspective-correct for UV and color. ok is false where the perspective
+// denominator vanishes.
+func (t *triangle) interp(ev12, ev20, ev01 float32) (z float32, uv geom.Vec2, col geom.Vec3, ok bool) {
+	v0, v1, v2 := t.v[0], t.v[1], t.v[2]
+	l0 := ev12 * t.invArea
+	l1 := ev20 * t.invArea
+	l2 := ev01 * t.invArea
+	z = l0*v0.Pos.Z + l1*v1.Pos.Z + l2*v2.Pos.Z
+	q0 := l0 * t.invW[0]
+	q1 := l1 * t.invW[1]
+	q2 := l2 * t.invW[2]
+	den := q0 + q1 + q2
+	if den == 0 {
+		return 0, geom.Vec2{}, geom.Vec3{}, false
+	}
+	inv := 1 / den
+	uv = geom.V2(
+		(q0*v0.UV.X+q1*v1.UV.X+q2*v2.UV.X)*inv,
+		(q0*v0.UV.Y+q1*v1.UV.Y+q2*v2.UV.Y)*inv,
+	)
+	col = geom.V3(
+		(q0*v0.Color.X+q1*v1.Color.X+q2*v2.Color.X)*inv,
+		(q0*v0.Color.Y+q1*v1.Color.Y+q2*v2.Color.Y)*inv,
+		(q0*v0.Color.Z+q1*v1.Color.Z+q2*v2.Color.Z)*inv,
+	)
+	return z, uv, col, true
+}
+
+// uvAt is the interpolated UV at pixel center (px, py); ok as for interp.
+func (t *triangle) uvAt(px, py float32) (uv geom.Vec2, ok bool) {
+	_, uv, _, ok = t.interp(t.e12.eval(px, py), t.e20.eval(px, py), t.e01.eval(px, py))
+	return uv, ok
+}
+
 // rasterPrim rasterizes one triangle into the tile, quad by quad.
 func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom.Rect, w *TileWork) {
-	v0, v1, v2 := p.V[0], p.V[1], p.V[2]
+	v0, v1, v2 := &p.V[0], &p.V[1], &p.V[2]
 	area2 := geom.TriangleArea2(
 		geom.V2(v0.Pos.X, v0.Pos.Y),
 		geom.V2(v1.Pos.X, v1.Pos.Y),
@@ -234,11 +284,6 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 		v1, v2 = v2, v1
 		area2 = -area2
 	}
-	invArea := 1 / area2
-
-	e12 := makeEdge(v1.Pos.X, v1.Pos.Y, v2.Pos.X, v2.Pos.Y) // λ0
-	e20 := makeEdge(v2.Pos.X, v2.Pos.Y, v0.Pos.X, v0.Pos.Y) // λ1
-	e01 := makeEdge(v0.Pos.X, v0.Pos.Y, v1.Pos.X, v1.Pos.Y) // λ2
 
 	// Primitive bbox clipped to this tile, snapped to even pixels (quads).
 	b := p.ScreenBounds(r.grid.ScreenW, r.grid.ScreenH).Clip(rect)
@@ -246,43 +291,33 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 		return
 	}
 	qx0, qy0 := b.MinX&^1, b.MinY&^1
-	invW0, invW1, invW2 := 1/v0.Pos.W, 1/v1.Pos.W, 1/v2.Pos.W
-
-	// Attribute interpolation at a pixel center.
-	interp := func(px, py float32) (z float32, uv geom.Vec2, col geom.Vec3, ok bool) {
-		l0 := e12.eval(px, py) * invArea
-		l1 := e20.eval(px, py) * invArea
-		l2 := e01.eval(px, py) * invArea
-		z = l0*v0.Pos.Z + l1*v1.Pos.Z + l2*v2.Pos.Z
-		q0 := l0 * invW0
-		q1 := l1 * invW1
-		q2 := l2 * invW2
-		den := q0 + q1 + q2
-		if den == 0 {
-			return 0, geom.Vec2{}, geom.Vec3{}, false
-		}
-		inv := 1 / den
-		uv = geom.V2(
-			(q0*v0.UV.X+q1*v1.UV.X+q2*v2.UV.X)*inv,
-			(q0*v0.UV.Y+q1*v1.UV.Y+q2*v2.UV.Y)*inv,
-		)
-		col = geom.V3(
-			(q0*v0.Color.X+q1*v1.Color.X+q2*v2.Color.X)*inv,
-			(q0*v0.Color.Y+q1*v1.Color.Y+q2*v2.Color.Y)*inv,
-			(q0*v0.Color.Z+q1*v1.Color.Z+q2*v2.Color.Z)*inv,
-		)
-		return z, uv, col, true
+	t := triangle{
+		e12:     makeEdge(v1.Pos.X, v1.Pos.Y, v2.Pos.X, v2.Pos.Y),
+		e20:     makeEdge(v2.Pos.X, v2.Pos.Y, v0.Pos.X, v0.Pos.Y),
+		e01:     makeEdge(v0.Pos.X, v0.Pos.Y, v1.Pos.X, v1.Pos.Y),
+		invArea: 1 / area2,
+		v:       [3]*geom.Vertex{v0, v1, v2},
+		invW:    [3]float32{1 / v0.Pos.W, 1 / v1.Pos.W, 1 / v2.Pos.W},
 	}
 
 	perFragInstr := mat.Program.InstructionsPerInvocation()
 	nTex := mat.Program.TexSamples
 	earlyZ := !mat.ForceLateZ
+	// Sample s2 reads texture s2 % len(mat.Textures); the quad's mip level
+	// of each texture that some sample reads is levels[i].
+	nLevels := min(nTex, len(mat.Textures))
+	if cap(r.levels) < nLevels {
+		r.levels = make([]int, nLevels)
+	}
+	levels := r.levels[:nLevels]
 
 	for qy := qy0; qy <= b.MaxY; qy += 2 {
 		for qx := qx0; qx <= b.MaxX; qx += 2 {
-			// Per-quad UV derivatives for mip selection (computed lazily
-			// when the quad has coverage and textures).
-			var duvx, duvy geom.Vec2
+			// The quad's UV derivatives, and from them its mip levels, are
+			// taken at its first textured fragment. Until they are known
+			// (the perspective denominator can vanish at the neighbouring
+			// centers, and the next fragment then tries again), samples
+			// use zero derivatives, which select level 0.
 			haveDeriv := false
 
 			var quad QuadMeta
@@ -296,14 +331,14 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 					continue
 				}
 				px, py := float32(x)+0.5, float32(y)+0.5
-				ev12 := e12.eval(px, py)
-				ev20 := e20.eval(px, py)
-				ev01 := e01.eval(px, py)
-				if !e12.inside(ev12) || !e20.inside(ev20) || !e01.inside(ev01) {
+				ev12 := t.e12.eval(px, py)
+				ev20 := t.e20.eval(px, py)
+				ev01 := t.e01.eval(px, py)
+				if !t.e12.inside(ev12) || !t.e20.inside(ev20) || !t.e01.inside(ev01) {
 					continue
 				}
 				w.PixelsCovered++
-				z, uv, col, ok := interp(px, py)
+				z, uv, col, ok := t.interp(ev12, ev20, ev01)
 				if !ok {
 					continue
 				}
@@ -319,23 +354,26 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 				quad.Instr += uint16(perFragInstr)
 
 				var texel geom.Vec3
-				if nTex > 0 && len(mat.Textures) > 0 {
+				if nLevels > 0 {
 					if !haveDeriv {
-						_, uvX, _, okX := interp(px+1, py)
-						_, uvY, _, okY := interp(px, py+1)
-						if okX && okY {
-							duvx = uvX.Sub(uv)
-							duvy = uvY.Sub(uv)
-							haveDeriv = true
+						uvX, okX := t.uvAt(px+1, py)
+						uvY, okY := t.uvAt(px, py+1)
+						haveDeriv = okX && okY
+						var duvx, duvy geom.Vec2
+						if haveDeriv {
+							duvx, duvy = uvX.Sub(uv), uvY.Sub(uv)
+						}
+						for i := range levels {
+							tex := mat.Textures[i]
+							levels[i] = mipLevel(duvx, duvy, tex.W, tex.H)
 						}
 					}
 					quad.Samples += uint16(nTex)
 					for s2 := 0; s2 < nTex; s2++ {
-						tex := mat.Textures[s2%len(mat.Textures)]
-						level := mipLevel(duvx, duvy, tex.W, tex.H)
-						addr := r.sampleFootprint(w, texBefore, tex, uv, level)
+						i := s2 % len(mat.Textures)
+						addr := r.sampleFootprint(w, texBefore, mat.Textures[i], uv, levels[i])
 						if s2 == 0 {
-							texel = sampleColor(tex.ID, addr)
+							texel = sampleColor(mat.Textures[i].ID, addr)
 						}
 					}
 				} else {
@@ -362,12 +400,13 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 
 // sampleFootprint emits the texel-line accesses of one filtered texture
 // sample at (uv, level) into the tile work and returns the base texel
-// address (used for the procedural color).
+// address (used for the procedural color). The bilinear neighbours are one
+// texel apart in the level the sample actually reads, tex.ClampLevel(level).
 func (r *Renderer) sampleFootprint(w *TileWork, texBefore int, tex *scene.Texture, uv geom.Vec2, level int) uint64 {
 	base := tex.TexelAddr(uv.X, uv.Y, level)
 	appendUniqueLine(&w.TexLines, texBefore, base&^63)
 	if r.filter >= FilterBilinear {
-		lw, lh := tex.LevelDims(level)
+		lw, lh := tex.LevelDims(tex.ClampLevel(level))
 		du := 1 / float32(lw)
 		dv := 1 / float32(lh)
 		appendUniqueLine(&w.TexLines, texBefore, tex.TexelAddr(uv.X+du, uv.Y, level)&^63)
@@ -392,18 +431,32 @@ func appendUniqueLine(dst *[]uint64, start int, line uint64) {
 	*dst = append(*dst, line)
 }
 
-// mipLevel selects the mip level from screen-space UV derivatives, matching
-// the standard log2(max texel footprint) rule.
+// mipLevel selects the mip level from screen-space UV derivatives by the
+// standard rule: floor(log2) of the longer texel-space footprint, that is
+// floor(0.5·log2 ρ) of its squared length ρ.
 func mipLevel(duvx, duvy geom.Vec2, texW, texH int) int {
 	fx := duvx.X * float32(texW)
 	fy := duvx.Y * float32(texH)
 	gx := duvy.X * float32(texW)
 	gy := duvy.Y * float32(texH)
-	rho := math.Max(float64(fx*fx+fy*fy), float64(gx*gx+gy*gy))
+	return footprintLevel(max(fx*fx+fy*fy, gx*gx+gy*gy))
+}
+
+// footprintLevel is the mip level of squared footprint rho: 0 for rho ≤ 1,
+// else floor(0.5·log2 rho). A float32 rho > 1 is 1.m·2^e with e its
+// unbiased exponent, so floor(log2 rho) = e and the level is e>>1, read off
+// the bits with no logarithm. NaN and +Inf go through
+// int(0.5*math.Log2(rho)), whose conversion of a non-finite value to int is
+// defined by the architecture, so they select the level they always did.
+func footprintLevel(rho float32) int {
 	if rho <= 1 {
 		return 0
 	}
-	return int(0.5 * math.Log2(rho))
+	e := int(math.Float32bits(rho)>>23&0xFF) - 127
+	if e == 128 {
+		return int(0.5 * math.Log2(float64(rho)))
+	}
+	return e >> 1
 }
 
 // sampleColor is the procedural stand-in for texel data: a deterministic

@@ -185,6 +185,40 @@ func TestMipLevelSelection(t *testing.T) {
 	}
 }
 
+// TestDerivativeRetry renders a one-quad triangle whose perspective
+// denominator vanishes exactly at a neighbour centre of the quad's first
+// fragment, so that fragment has no UV derivatives: it samples level 0, and
+// the quad's second fragment takes the derivatives afresh and samples the
+// coarser level they select.
+func TestDerivativeRetry(t *testing.T) {
+	grid := tiling.NewGrid(32, 32)
+	tex := scene.NewTextureAllocator().Alloc(64, 64)
+	sc := buildScene(scene.Material{
+		Program:  shader.Textured,
+		Textures: []*scene.Texture{tex},
+		Blend:    scene.BlendOpaque, DepthWrite: true,
+	})
+	white := geom.V3(1, 1, 1)
+	p := gpipe.Primitive{V: [3]geom.Vertex{
+		{Pos: geom.Vec4{X: 3.25, Y: 3, Z: 0.5, W: 0.5}, UV: geom.V2(0.5, 0.875), Color: white},
+		{Pos: geom.Vec4{X: 0.75, Y: 1.75, Z: 0.5, W: 1}, UV: geom.V2(0.125, 0.125), Color: white},
+		{Pos: geom.Vec4{X: 4, Y: 2.5, Z: 0.5, W: 0.25}, UV: geom.V2(0.625, 1), Color: white},
+	}}
+	w := NewRenderer(grid).RenderTile(sc, []gpipe.Primitive{p}, refs(1), 0, NewFrameBuffer(32, 32))
+	if len(w.Quads) != 1 || w.Quads[0].Fragments != 2 || len(w.TexLines) != 2 {
+		t.Fatalf("want one quad of two fragments on two lines, got quads %+v lines %#x", w.Quads, w.TexLines)
+	}
+	level0End := tex.Base + uint64(tex.W*tex.H*scene.TexelBytes)
+	if w.TexLines[0] >= level0End {
+		t.Errorf("first fragment (no derivatives) read %#x, want level 0 [%#x, %#x)",
+			w.TexLines[0], tex.Base, level0End)
+	}
+	if w.TexLines[1] < level0End {
+		t.Errorf("second fragment read %#x in level 0, want the coarser level its derivatives select",
+			w.TexLines[1])
+	}
+}
+
 func TestRenderDeterministic(t *testing.T) {
 	grid := tiling.NewGrid(64, 64)
 	alloc := scene.NewTextureAllocator()

@@ -30,6 +30,36 @@ func TestTextureLayout(t *testing.T) {
 	}
 }
 
+// TestLevelDimsHalves checks the shift form of LevelDims against repeated
+// halving (each step max(1, d/2)) on every power-of-two shape up to
+// 4096×4096, for levels below zero, inside the chain and past its end.
+func TestLevelDimsHalves(t *testing.T) {
+	for wl := 0; wl <= 12; wl++ {
+		for hl := 0; hl <= 12; hl++ {
+			tx := &Texture{W: 1 << wl, H: 1 << hl}
+			for l := -2; l <= 70; l++ {
+				w, h := tx.W, tx.H
+				for i := 0; i < l; i++ {
+					w, h = max(1, w/2), max(1, h/2)
+				}
+				if gw, gh := tx.LevelDims(l); gw != w || gh != h {
+					t.Fatalf("%dx%d level %d: LevelDims = %dx%d, halving gives %dx%d",
+						tx.W, tx.H, l, gw, gh, w, h)
+				}
+			}
+		}
+	}
+}
+
+func TestClampLevel(t *testing.T) {
+	tx := NewTexture(0, 64, 64, 0, 3)
+	for l, want := range map[int]int{-5: 0, 0: 0, 1: 1, 2: 2, 3: 2, 99: 2} {
+		if got := tx.ClampLevel(l); got != want {
+			t.Errorf("ClampLevel(%d) = %d, want %d", l, got, want)
+		}
+	}
+}
+
 func TestTexturePanicsOnBadDims(t *testing.T) {
 	defer func() {
 		if recover() == nil {

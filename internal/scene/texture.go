@@ -42,12 +42,10 @@ func NewTexture(id, w, h int, base uint64, maxLevels int) *Texture {
 	}
 	t.Levels = levels
 	off := uint64(0)
-	lw, lh := w, h
 	for l := 0; l < levels; l++ {
 		t.levelOffset = append(t.levelOffset, off)
+		lw, lh := t.LevelDims(l)
 		off += uint64(lw*lh) * TexelBytes
-		lw = max(1, lw/2)
-		lh = max(1, lh/2)
 	}
 	t.totalBytes = off
 	return t
@@ -56,26 +54,25 @@ func NewTexture(id, w, h int, base uint64, maxLevels int) *Texture {
 // SizeBytes returns the full storage footprint including mips.
 func (t *Texture) SizeBytes() uint64 { return t.totalBytes }
 
-// LevelDims returns the dimensions of mip level l.
+// LevelDims returns the dimensions of mip level l (level 0 for l < 0).
+// Both base dimensions are powers of two, so each level halves them by a
+// shift, down to 1.
 func (t *Texture) LevelDims(l int) (w, h int) {
-	w, h = t.W, t.H
-	for ; l > 0; l-- {
-		w = max(1, w/2)
-		h = max(1, h/2)
-	}
-	return w, h
+	l = max(l, 0)
+	return max(1, t.W>>l), max(1, t.H>>l)
+}
+
+// ClampLevel returns the stored level that a sample at level l reads: l
+// clamped into [0, Levels-1].
+func (t *Texture) ClampLevel(l int) int {
+	return min(max(l, 0), t.Levels-1)
 }
 
 // TexelAddr returns the byte address of the texel at normalized coordinates
-// (u, v) in mip level l, using the blocked (tiled) layout. Coordinates wrap
-// (repeat addressing), matching common game usage.
+// (u, v) in mip level ClampLevel(l), using the blocked (tiled) layout.
+// Coordinates wrap (repeat addressing), matching common game usage.
 func (t *Texture) TexelAddr(u, v float32, l int) uint64 {
-	if l < 0 {
-		l = 0
-	}
-	if l >= t.Levels {
-		l = t.Levels - 1
-	}
+	l = t.ClampLevel(l)
 	w, h := t.LevelDims(l)
 	// Repeat wrap into [0,1).
 	u -= float32(int(u))
