@@ -45,8 +45,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# simbench is a module of its own that calls internal packages, so the root
+# module's vet does not compile it: vet it too, so an internal API change
+# that breaks the benchmark fails here rather than in a benchmark run.
 vet:
 	$(GO) vet $(PKGS)
+	$(GO) -C simbench vet ./...
 
 # Machine-checked contracts, enforced by the in-repo analyzer suite
 # (cmd/libralint: detlint, telemetrylint, seedlint, alloclint, retainlint,

@@ -37,7 +37,7 @@ func main() {
 	var (
 		list       = flag.Bool("list", false, "list the benchmark suite and exit")
 		game       = flag.String("game", "", "benchmark abbreviation for a single run (see -list)")
-		policy     = flag.String("policy", "libra", "scheduler policy: zorder | static-supertile | temperature | libra")
+		policy     = flag.String("policy", "libra", "scheduler policy: "+experiments.PolicyHelp())
 		rus        = flag.Int("rus", 2, "raster units (single run)")
 		cores      = flag.Int("cores", 4, "cores per raster unit (single run)")
 		experiment = flag.String("experiment", "", "experiment id (fig01..fig19b, table02, ranking) or 'all'")

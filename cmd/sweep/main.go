@@ -48,7 +48,7 @@ func main() {
 		game   = flag.String("game", "CCS", "benchmark abbreviation")
 		axis   = flag.String("axis", "cores", "sweep axis: cores | rus | l2kb")
 		values = flag.String("values", "", "comma-separated sweep values (defaults per axis)")
-		policy = flag.String("policy", "libra", "scheduler policy")
+		policy = flag.String("policy", "libra", "scheduler policy: "+experiments.PolicyHelp())
 	)
 	cli.ParseCommandLine()
 

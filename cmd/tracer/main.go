@@ -24,7 +24,7 @@ func main() {
 		replay  = flag.String("replay", "", "replay a trace from this file")
 		game    = flag.String("game", "SuS", "benchmark to record")
 		frame   = flag.Int("frame", 4, "animation frame to record (earlier frames warm the caches)")
-		policy  = flag.String("policy", "libra", "replay scheduler policy")
+		policy  = flag.String("policy", "libra", "replay scheduler policy: "+experiments.PolicyHelp())
 		rus     = flag.Int("rus", 2, "raster units for replay")
 		passes  = flag.Int("passes", 4, "replay passes")
 		screenW = flag.Int("w", experiments.DefaultParams().ScreenW, "screen width")

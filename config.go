@@ -14,13 +14,15 @@ package libra
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/raster"
 	"repro/internal/sched"
 )
 
-// Policy selects the tile scheduling policy.
+// Policy selects the tile scheduling policy. A policy is the name of one of
+// the simulator's scheduling modes; Policies lists them all.
 type Policy string
 
 // Scheduling policies.
@@ -28,28 +30,39 @@ const (
 	// PolicyZOrder is the conventional scheduler: one shared Z-order tile
 	// queue. With RasterUnits=1 this is the paper's baseline GPU; with
 	// more it is plain parallel tile rendering (PTR).
-	PolicyZOrder Policy = "zorder"
+	PolicyZOrder = Policy(core.ModeZOrder)
 	// PolicyStaticSupertile dispatches fixed-size supertiles in Z-order.
-	PolicyStaticSupertile Policy = "static-supertile"
+	PolicyStaticSupertile = Policy(core.ModeStaticSupertile)
 	// PolicyTemperature always uses the previous frame's temperature
 	// ranking with a fixed supertile size.
-	PolicyTemperature Policy = "temperature"
+	PolicyTemperature = Policy(core.ModeTemperature)
 	// PolicyLIBRA is the full adaptive scheduler of the paper (§III).
-	PolicyLIBRA Policy = "libra"
+	PolicyLIBRA = Policy(core.ModeLIBRA)
 
 	// Ablation policies (not part of the paper's proposal; used to isolate
 	// where LIBRA's benefit comes from — see the ablation experiments).
 
 	// PolicyHilbert traverses tiles along a Hilbert curve.
-	PolicyHilbert Policy = "hilbert"
+	PolicyHilbert = Policy(core.ModeHilbert)
 	// PolicyReverse alternates the traversal direction every frame.
-	PolicyReverse Policy = "reverse"
+	PolicyReverse = Policy(core.ModeReverse)
 	// PolicyRandom shuffles the tile order every frame.
-	PolicyRandom Policy = "random"
+	PolicyRandom = Policy(core.ModeRandom)
 	// PolicyAltTemperature interleaves the hot and cold ends of the ranking
 	// into one shared queue instead of dedicating a hot Raster Unit.
-	PolicyAltTemperature Policy = "alt-temperature"
+	PolicyAltTemperature = Policy(core.ModeAltTemperature)
 )
+
+// Policies returns every policy name Validate accepts, the paper's four
+// first; an empty Policy means PolicyZOrder.
+func Policies() []Policy {
+	modes := core.Modes()
+	ps := make([]Policy, len(modes))
+	for i, m := range modes {
+		ps[i] = Policy(m)
+	}
+	return ps
+}
 
 // Config describes a simulated GPU. Zero values are filled with Table I
 // defaults by Normalize; construct via DefaultConfig / Baseline / PTR /
@@ -179,10 +192,7 @@ func (c Config) Validate() error {
 	if c.SimWorkers < 0 {
 		return fmt.Errorf("libra: negative sim workers %d", c.SimWorkers)
 	}
-	switch c.Policy {
-	case PolicyZOrder, PolicyStaticSupertile, PolicyTemperature, PolicyLIBRA,
-		PolicyHilbert, PolicyReverse, PolicyRandom, PolicyAltTemperature, "":
-	default:
+	if c.Policy != "" && !slices.Contains(core.Modes(), core.Mode(c.Policy)) {
 		return fmt.Errorf("libra: unknown policy %q", c.Policy)
 	}
 	if c.SupertileSize != 0 {
@@ -209,23 +219,8 @@ func (c Config) toCore() core.Config {
 	cc.Sim.RasterUnits = c.RasterUnits
 	cc.Sim.CoresPerRU = c.CoresPerRU
 	cc.Sim.Workers = c.SimWorkers
-	switch c.Policy {
-	case PolicyStaticSupertile:
-		cc.Mode = core.ModeStaticSupertile
-	case PolicyTemperature:
-		cc.Mode = core.ModeTemperature
-	case PolicyLIBRA:
-		cc.Mode = core.ModeLIBRA
-	case PolicyHilbert:
-		cc.Mode = core.ModeHilbert
-	case PolicyReverse:
-		cc.Mode = core.ModeReverse
-	case PolicyRandom:
-		cc.Mode = core.ModeRandom
-	case PolicyAltTemperature:
-		cc.Mode = core.ModeAltTemperature
-	default:
-		cc.Mode = core.ModeZOrder
+	if c.Policy != "" {
+		cc.Mode = core.Mode(c.Policy)
 	}
 	if c.SupertileSize != 0 {
 		cc.StaticSupertile = c.SupertileSize

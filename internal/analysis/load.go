@@ -389,14 +389,3 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 	}
 	return mi.std.Import(path)
 }
-
-// PackageByRel returns the loaded package with the given module-relative
-// path, or nil.
-func (m *Module) PackageByRel(rel string) *Package {
-	for _, p := range m.Packages {
-		if p.RelPath == rel {
-			return p
-		}
-	}
-	return nil
-}

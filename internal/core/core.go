@@ -5,7 +5,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/energy"
@@ -22,56 +21,41 @@ import (
 	"repro/internal/tiling"
 )
 
-// Mode selects the tile scheduling policy of the GPU.
-type Mode int
+// Mode names the tile scheduling policy of the GPU; the public
+// libra.Policy names are these strings.
+type Mode string
 
 // Scheduling modes.
 const (
 	// ModeZOrder is the conventional scheduler: one shared Z-order tile
 	// queue. With RasterUnits=1 this is the paper's baseline GPU; with
 	// more, it is PTR with interleaved dispatch (§III-A).
-	ModeZOrder Mode = iota
+	ModeZOrder Mode = "zorder"
 	// ModeStaticSupertile dispatches fixed-size supertiles in Z-order
 	// (Fig. 16's static configurations).
-	ModeStaticSupertile
+	ModeStaticSupertile Mode = "static-supertile"
 	// ModeTemperature always uses the temperature ranking with a fixed
 	// supertile size (ablation).
-	ModeTemperature
+	ModeTemperature Mode = "temperature"
 	// ModeLIBRA is the full adaptive scheduler of §III-D.
-	ModeLIBRA
+	ModeLIBRA Mode = "libra"
 	// ModeHilbert traverses tiles along a Hilbert curve (DTexL-style
 	// locality ablation).
-	ModeHilbert
+	ModeHilbert Mode = "hilbert"
 	// ModeReverse alternates traversal direction every frame
 	// (Boustrophedonic-Frames-style ablation).
-	ModeReverse
+	ModeReverse Mode = "reverse"
 	// ModeRandom shuffles the tile order (worst-locality control).
-	ModeRandom
+	ModeRandom Mode = "random"
 	// ModeAltTemperature ranks supertiles by temperature but interleaves
 	// hot and cold into one shared queue instead of dedicating a hot RU.
-	ModeAltTemperature
+	ModeAltTemperature Mode = "alt-temperature"
 )
 
-func (m Mode) String() string {
-	switch m {
-	case ModeZOrder:
-		return "zorder"
-	case ModeStaticSupertile:
-		return "static-supertile"
-	case ModeTemperature:
-		return "temperature"
-	case ModeLIBRA:
-		return "libra"
-	case ModeHilbert:
-		return "hilbert"
-	case ModeReverse:
-		return "reverse"
-	case ModeRandom:
-		return "random"
-	case ModeAltTemperature:
-		return "alt-temperature"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
+// Modes returns every scheduling mode, the paper's four first.
+func Modes() []Mode {
+	return []Mode{ModeZOrder, ModeStaticSupertile, ModeTemperature, ModeLIBRA,
+		ModeHilbert, ModeReverse, ModeRandom, ModeAltTemperature}
 }
 
 // Config is the full GPU configuration (Table I defaults via DefaultConfig).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sched"
@@ -145,12 +146,15 @@ func TestIntervalHistogramRecorded(t *testing.T) {
 	if res.Intervals == nil {
 		t.Fatal("interval histogram not recorded")
 	}
-	if res.Intervals.Total() == 0 {
+	var total uint64
+	for _, c := range res.Intervals.Counts {
+		total += uint64(c)
+	}
+	if total == 0 {
 		t.Error("histogram recorded no DRAM requests")
 	}
-	if res.Intervals.Total() != uint64(res.DRAMStats.Accesses()) {
-		t.Errorf("histogram total %d != DRAM accesses %d",
-			res.Intervals.Total(), res.DRAMStats.Accesses())
+	if total != res.DRAMStats.Accesses() {
+		t.Errorf("histogram total %d != DRAM accesses %d", total, res.DRAMStats.Accesses())
 	}
 }
 
@@ -191,13 +195,12 @@ func TestFPSAndModeString(t *testing.T) {
 	if (FrameResult{}).FPS(800e6) != 0 {
 		t.Error("zero-cycle frame should report 0 FPS")
 	}
-	for m, want := range map[Mode]string{
-		ModeZOrder: "zorder", ModeStaticSupertile: "static-supertile",
-		ModeTemperature: "temperature", ModeLIBRA: "libra", Mode(99): "mode(99)",
-	} {
-		if m.String() != want {
-			t.Errorf("Mode(%d).String() = %q", int(m), m.String())
-		}
+	// A mode is its policy name: the string flags, requests and result
+	// store keys carry.
+	want := []string{"zorder", "static-supertile", "temperature", "libra",
+		"hilbert", "reverse", "random", "alt-temperature"}
+	if got := Modes(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Modes() = %v, want %v", got, want)
 	}
 }
 

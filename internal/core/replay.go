@@ -67,7 +67,7 @@ func ReplayTrace(cfg Config, ft *trace.FrameTrace, passes int) ([]ReplayResult, 
 	for pass := 0; pass < passes; pass++ {
 		hier.ResetStats()
 		eng.ResetFrameStats()
-		scheduler, _, _ := g.buildScheduler()
+		scheduler, orderMode, _ := g.buildScheduler()
 		tileStats := stats.NewTileTable(g.grid.TilesX, g.grid.TilesY)
 		o := eng.RunRaster(sim.FrameInput{
 			Works:      ft.Tiles,
@@ -80,7 +80,7 @@ func ReplayTrace(cfg Config, ft *trace.FrameTrace, passes int) ([]ReplayResult, 
 		g.adaptive.Observe(sched.FrameMetrics{
 			RasterCycles: o.RasterCycles,
 			TexHitRatio:  o.TexHitRatio(),
-		}, schedModeOf(scheduler))
+		}, orderMode)
 		g.frameIdx++
 		out = append(out, ReplayResult{
 			Pass:          pass,
@@ -126,14 +126,4 @@ func ReplayPFR(cfg Config, frames []*trace.FrameTrace) (sim.FrameOutput, error) 
 		Scheduler: sched.NewPFR(grid, len(frames)),
 	})
 	return out, nil
-}
-
-// schedModeOf maps a scheduler instance back to the order mode it embodies.
-func schedModeOf(s sched.Scheduler) sched.OrderMode {
-	switch s.(type) {
-	case *sched.Temperature, *sched.AlternatingTemperature:
-		return sched.ModeTemperature
-	default:
-		return sched.ModeZOrder
-	}
 }

@@ -64,13 +64,3 @@ func Estimate(cfg Config, a Activity) Breakdown {
 	b.Total = b.Core + b.L1 + b.L2 + b.DRAM + b.Static
 	return b
 }
-
-// Add accumulates another breakdown (multi-frame totals).
-func (b *Breakdown) Add(o Breakdown) {
-	b.Core += o.Core
-	b.L1 += o.L1
-	b.L2 += o.L2
-	b.DRAM += o.DRAM
-	b.Static += o.Static
-	b.Total += o.Total
-}

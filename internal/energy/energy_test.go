@@ -71,15 +71,6 @@ func TestShorterRuntimeSavesStaticEnergy(t *testing.T) {
 	}
 }
 
-func TestBreakdownAdd(t *testing.T) {
-	a := Breakdown{Core: 1, L1: 2, L2: 3, DRAM: 4, Static: 5, Total: 15}
-	b := a
-	b.Add(a)
-	if b.Total != 30 || b.Core != 2 || b.Static != 10 {
-		t.Errorf("Add = %+v", b)
-	}
-}
-
 func TestDefaultConfigSane(t *testing.T) {
 	cfg := DefaultConfig()
 	// DRAM events must dwarf on-chip events; static power positive.

@@ -1,6 +1,10 @@
 package experiments
 
-import libra "repro"
+import (
+	"math"
+
+	libra "repro"
+)
 
 // ablationGames is a representative memory-intensive subset (cheap enough to
 // sweep many configurations).
@@ -57,8 +61,8 @@ func (r *Runner) Smoothing() *Result {
 		libCfg.IntervalWidth = 5000
 		p := r.Run(ptrCfg, g)
 		l := r.Run(libCfg, g)
-		pcv, ppeak := burstiness(p.Frames[len(p.Frames)-1].Intervals)
-		lcv, lpeak := burstiness(l.Frames[len(l.Frames)-1].Intervals)
+		pcv, ppeak, _ := burstiness(p.Frames[len(p.Frames)-1].Intervals)
+		lcv, lpeak, _ := burstiness(l.Frames[len(l.Frames)-1].Intervals)
 		return Row{Label: g, Values: []float64{pcv, lcv, ppeak, lpeak}}
 	})
 	res.Headline = map[string]float64{
@@ -68,9 +72,13 @@ func (r *Runner) Smoothing() *Result {
 	return res
 }
 
-func burstiness(counts []uint32) (cv, peak float64) {
+// burstiness summarizes per-interval request counts (Fig. 7): the
+// coefficient of variation (stddev/mean, the burstiness LIBRA's scheduler
+// is designed to reduce), the peak and the mean interval count. Empty or
+// all-zero counts have zero CV.
+func burstiness(counts []uint32) (cv, peak, avg float64) {
 	if len(counts) == 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
 	var total float64
 	for _, c := range counts {
@@ -80,16 +88,16 @@ func burstiness(counts []uint32) (cv, peak float64) {
 			peak = v
 		}
 	}
-	m := total / float64(len(counts))
-	if m == 0 {
-		return 0, peak
+	avg = total / float64(len(counts))
+	if avg == 0 {
+		return 0, peak, 0
 	}
 	var ss float64
 	for _, c := range counts {
-		d := float64(c) - m
+		d := float64(c) - avg
 		ss += d * d
 	}
-	return sqrt(ss/float64(len(counts))) / m, peak
+	return math.Sqrt(ss/float64(len(counts))) / avg, peak, avg
 }
 
 // AblationPFR compares LIBRA's intra-frame parallelism against Parallel

@@ -96,17 +96,17 @@ func TestRankingOverheadExperiment(t *testing.T) {
 }
 
 func TestSmoothingBurstinessHelper(t *testing.T) {
-	cv, peak := burstiness(nil)
-	if cv != 0 || peak != 0 {
+	cv, peak, avg := burstiness(nil)
+	if cv != 0 || peak != 0 || avg != 0 {
 		t.Error("empty input should yield zeros")
 	}
-	cv, peak = burstiness([]uint32{5, 5, 5, 5})
-	if cv != 0 || peak != 5 {
-		t.Errorf("uniform input: cv=%v peak=%v", cv, peak)
+	cv, peak, avg = burstiness([]uint32{5, 5, 5, 5})
+	if cv != 0 || peak != 5 || avg != 5 {
+		t.Errorf("uniform input: cv=%v peak=%v mean=%v", cv, peak, avg)
 	}
-	cvB, peakB := burstiness([]uint32{0, 0, 0, 20})
-	if cvB <= cv || peakB != 20 {
-		t.Errorf("bursty input should have higher CV: %v", cvB)
+	cvB, peakB, avgB := burstiness([]uint32{0, 0, 0, 20})
+	if cvB <= cv || peakB != 20 || avgB != 5 {
+		t.Errorf("bursty input should have higher CV: cv=%v peak=%v mean=%v", cvB, peakB, avgB)
 	}
 }
 

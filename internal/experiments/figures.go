@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	libra "repro"
@@ -173,7 +174,7 @@ func (r *Runner) Fig06bCorrelation() *Result {
 	}
 	corr := 0.0
 	if dx > 0 && dy > 0 {
-		corr = num / (sqrt(dx) * sqrt(dy))
+		corr = num / (math.Sqrt(dx) * math.Sqrt(dy))
 	}
 	res.Headline = map[string]float64{"pearson_corr": corr}
 	return res
@@ -187,26 +188,7 @@ func (r *Runner) Fig07Intervals() *Result {
 	run := r.Run(cfg, "CCS")
 	f := run.Frames[len(run.Frames)-1]
 	counts := f.Intervals
-	var peak, total float64
-	for _, c := range counts {
-		if float64(c) > peak {
-			peak = float64(c)
-		}
-		total += float64(c)
-	}
-	meanC := 0.0
-	if len(counts) > 0 {
-		meanC = total / float64(len(counts))
-	}
-	var ss float64
-	for _, c := range counts {
-		d := float64(c) - meanC
-		ss += d * d
-	}
-	cv := 0.0
-	if meanC > 0 && len(counts) > 0 {
-		cv = sqrt(ss/float64(len(counts))) / meanC
-	}
+	cv, peak, meanC := burstiness(counts)
 	res := &Result{
 		ID:    "fig07",
 		Title: "DRAM requests per 5000-cycle interval (CCS frame)",
@@ -311,14 +293,14 @@ func neighbourContrast(grid [][]float64) (adjacent, random float64) {
 		for x := 0; x+1 < len(grid[y]); x++ {
 			a, b := grid[y][x], grid[y][x+1]
 			if a+b > 0 {
-				adj = append(adj, abs(a-b)/(a+b))
+				adj = append(adj, math.Abs(a-b)/(a+b))
 			}
 			// Random partner: mirrored coordinates.
 			ry := len(grid) - 1 - y
 			rx := len(grid[y]) - 1 - x
 			c := grid[ry][rx]
 			if a+c > 0 {
-				rnd = append(rnd, abs(a-c)/(a+c))
+				rnd = append(rnd, math.Abs(a-c)/(a+c))
 			}
 		}
 	}
@@ -636,25 +618,6 @@ func (r *Runner) RankingOverhead() *Result {
 		"table_bytes_510":   float64(libra.RankTableBytes(510)),
 	}
 	return res
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton iterations are plenty for reporting purposes.
-	g := x
-	for i := 0; i < 40; i++ {
-		g = 0.5 * (g + x/g)
-	}
-	return g
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // sparkline renders counts as a fixed-width ASCII intensity strip.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 	"syscall"
 
 	libra "repro"
@@ -74,6 +75,16 @@ func (c *CLI) RegisterServiceFlags(fs *flag.FlagSet) {
 // call it -result-dir; cmd/resultstore calls it -dir.
 func ResultDirVar(fs *flag.FlagSet, p *string, name, help string) {
 	fs.StringVar(p, name, os.Getenv("LIBRA_RESULT_DIR"), help)
+}
+
+// PolicyHelp lists, for a -policy flag's help text, every scheduling policy
+// libra.Config.Validate accepts.
+func PolicyHelp() string {
+	var names []string
+	for _, p := range libra.Policies() {
+		names = append(names, string(p))
+	}
+	return strings.Join(names, " | ")
 }
 
 // envPositive returns the positive integer held by environment variable

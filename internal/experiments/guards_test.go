@@ -33,15 +33,15 @@ func TestRatioGuardsZeroDenominator(t *testing.T) {
 // burstiness reduction: no intervals and all-zero intervals must both report
 // finite statistics.
 func TestBurstinessEmptyAndFlat(t *testing.T) {
-	if cv, peak := burstiness(nil); cv != 0 || peak != 0 {
-		t.Errorf("burstiness(nil) = %v, %v, want zeros", cv, peak)
+	if cv, peak, avg := burstiness(nil); cv != 0 || peak != 0 || avg != 0 {
+		t.Errorf("burstiness(nil) = %v, %v, %v, want zeros", cv, peak, avg)
 	}
-	if cv, peak := burstiness([]uint32{0, 0, 0}); cv != 0 || peak != 0 {
-		t.Errorf("burstiness(zeros) = %v, %v, want zeros", cv, peak)
+	if cv, peak, avg := burstiness([]uint32{0, 0, 0}); cv != 0 || peak != 0 || avg != 0 {
+		t.Errorf("burstiness(zeros) = %v, %v, %v, want zeros", cv, peak, avg)
 	}
-	cv, peak := burstiness([]uint32{2, 2, 2, 2})
-	if cv != 0 || peak != 2 {
-		t.Errorf("flat series: cv=%v peak=%v, want 0, 2", cv, peak)
+	cv, peak, avg := burstiness([]uint32{2, 2, 2, 2})
+	if cv != 0 || peak != 2 || avg != 2 {
+		t.Errorf("flat series: cv=%v peak=%v mean=%v, want 0, 2, 2", cv, peak, avg)
 	}
 }
 

@@ -127,76 +127,17 @@ func TestEdgeFunctionSign(t *testing.T) {
 	}
 }
 
-func TestFrustumCullAABB(t *testing.T) {
-	vp := Perspective(1.0, 1.0, 0.1, 100)
-	f := FrustumFromMatrix(vp)
-
-	inside := AABB{Min: Vec3{-0.1, -0.1, -5.1}, Max: Vec3{0.1, 0.1, -4.9}}
-	if got := f.CullAABB(inside); got != Inside {
-		t.Errorf("inside box culled as %v", got)
-	}
-	outside := AABB{Min: Vec3{1000, 1000, 10}, Max: Vec3{1001, 1001, 11}}
-	if got := f.CullAABB(outside); got != Outside {
-		t.Errorf("outside box culled as %v", got)
-	}
-	partial := AABB{Min: Vec3{-0.1, -0.1, -1}, Max: Vec3{0.1, 0.1, 1}}
-	if got := f.CullAABB(partial); got != Partial {
-		t.Errorf("straddling box culled as %v", got)
-	}
-}
-
-func TestFrustumContainsPoint(t *testing.T) {
-	vp := Perspective(1.0, 1.0, 0.1, 100)
-	f := FrustumFromMatrix(vp)
-	if !f.ContainsPoint(Vec3{0, 0, -5}) {
-		t.Error("point ahead of camera should be inside")
-	}
-	if f.ContainsPoint(Vec3{0, 0, 5}) {
-		t.Error("point behind camera should be outside")
-	}
-	if f.ContainsPoint(Vec3{0, 0, -200}) {
-		t.Error("point past far plane should be outside")
-	}
-}
-
-func TestAABBExtendContains(t *testing.T) {
-	b := EmptyAABB()
-	if !b.Empty() {
-		t.Error("fresh box should be empty")
-	}
-	b.Extend(Vec3{1, 2, 3})
-	b.Extend(Vec3{-1, 0, 5})
-	if b.Empty() {
-		t.Error("extended box should not be empty")
-	}
-	if !b.Contains(Vec3{0, 1, 4}) {
-		t.Error("box should contain interior point")
-	}
-	if b.Contains(Vec3{2, 1, 4}) {
-		t.Error("box should not contain exterior point")
-	}
-	if got := b.Center(); got != (Vec3{0, 1, 4}) {
-		t.Errorf("center = %v", got)
-	}
-}
-
 func TestRectOps(t *testing.T) {
 	a := Rect{0, 0, 9, 9}
 	b := Rect{5, 5, 15, 15}
-	if !a.Intersects(b) {
-		t.Error("overlapping rects should intersect")
-	}
 	c := a.Clip(b)
 	if c != (Rect{5, 5, 9, 9}) {
 		t.Errorf("clip = %v", c)
 	}
-	if c.Width() != 5 || c.Height() != 5 {
-		t.Errorf("clip dims = %dx%d", c.Width(), c.Height())
+	if c.Empty() {
+		t.Error("clip of overlapping rects should not be empty")
 	}
 	far := Rect{100, 100, 110, 110}
-	if a.Intersects(far) {
-		t.Error("disjoint rects should not intersect")
-	}
 	if !a.Clip(far).Empty() {
 		t.Error("clip of disjoint rects should be empty")
 	}

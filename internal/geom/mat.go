@@ -32,38 +32,6 @@ func ScaleM(x, y, z float32) Mat4 {
 	return m
 }
 
-// RotateZ returns a rotation matrix of angle radians about the Z axis.
-func RotateZ(angle float32) Mat4 {
-	s, c := sincos(angle)
-	m := Identity()
-	m[0], m[1] = c, -s
-	m[4], m[5] = s, c
-	return m
-}
-
-// RotateY returns a rotation matrix of angle radians about the Y axis.
-func RotateY(angle float32) Mat4 {
-	s, c := sincos(angle)
-	m := Identity()
-	m[0], m[2] = c, s
-	m[8], m[10] = -s, c
-	return m
-}
-
-// RotateX returns a rotation matrix of angle radians about the X axis.
-func RotateX(angle float32) Mat4 {
-	s, c := sincos(angle)
-	m := Identity()
-	m[5], m[6] = c, -s
-	m[9], m[10] = s, c
-	return m
-}
-
-func sincos(a float32) (sin, cos float32) {
-	s, c := math.Sincos(float64(a))
-	return float32(s), float32(c)
-}
-
 // Mul returns the matrix product m·o.
 func (m Mat4) Mul(o Mat4) Mat4 {
 	var r Mat4
@@ -87,28 +55,6 @@ func (m Mat4) MulVec4(v Vec4) Vec4 {
 		m[8]*v.X + m[9]*v.Y + m[10]*v.Z + m[11]*v.W,
 		m[12]*v.X + m[13]*v.Y + m[14]*v.Z + m[15]*v.W,
 	}
-}
-
-// MulPoint transforms a 3D point (w = 1) without perspective division.
-func (m Mat4) MulPoint(v Vec3) Vec3 {
-	r := m.MulVec4(V4(v, 1))
-	return r.XYZ()
-}
-
-// Transpose returns the transpose of m.
-func (m Mat4) Transpose() Mat4 {
-	var r Mat4
-	for row := 0; row < 4; row++ {
-		for col := 0; col < 4; col++ {
-			r[col*4+row] = m[row*4+col]
-		}
-	}
-	return r
-}
-
-// Row returns row r of the matrix as a Vec4.
-func (m Mat4) Row(r int) Vec4 {
-	return Vec4{m[r*4], m[r*4+1], m[r*4+2], m[r*4+3]}
 }
 
 // Perspective returns a right-handed perspective projection matrix with the

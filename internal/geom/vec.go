@@ -1,6 +1,7 @@
 // Package geom provides the linear-algebra and computational-geometry
 // primitives used by the rest of the simulator: small fixed-size vectors and
-// matrices, axis-aligned boxes, planes, view frusta and polygon clipping.
+// matrices, screen-space rectangles, clip-space triangle clipping and edge
+// functions.
 //
 // All types use float32, matching the arithmetic width of mobile GPU
 // shader cores; the package is allocation-free on its hot paths.
@@ -25,9 +26,6 @@ func (v Vec2) Add(o Vec2) Vec2 { return Vec2{v.X + o.X, v.Y + o.Y} }
 // Sub returns v - o.
 func (v Vec2) Sub(o Vec2) Vec2 { return Vec2{v.X - o.X, v.Y - o.Y} }
 
-// Scale returns v scaled by s.
-func (v Vec2) Scale(s float32) Vec2 { return Vec2{v.X * s, v.Y * s} }
-
 // Dot returns the dot product of v and o.
 func (v Vec2) Dot(o Vec2) float32 { return v.X*o.X + v.Y*o.Y }
 
@@ -43,9 +41,6 @@ func (v Vec2) Lerp(o Vec2, t float32) Vec2 {
 type Vec3 struct {
 	X, Y, Z float32
 }
-
-// Add returns v + o.
-func (v Vec3) Add(o Vec3) Vec3 { return Vec3{v.X + o.X, v.Y + o.Y, v.Z + o.Z} }
 
 // Sub returns v - o.
 func (v Vec3) Sub(o Vec3) Vec3 { return Vec3{v.X - o.X, v.Y - o.Y, v.Z - o.Z} }
@@ -93,29 +88,6 @@ type Vec4 struct {
 
 // V4 builds a Vec4 from a Vec3 and an explicit w component.
 func V4(v Vec3, w float32) Vec4 { return Vec4{v.X, v.Y, v.Z, w} }
-
-// XYZ returns the first three components as a Vec3.
-func (v Vec4) XYZ() Vec3 { return Vec3{v.X, v.Y, v.Z} }
-
-// Add returns v + o.
-func (v Vec4) Add(o Vec4) Vec4 {
-	return Vec4{v.X + o.X, v.Y + o.Y, v.Z + o.Z, v.W + o.W}
-}
-
-// Sub returns v - o.
-func (v Vec4) Sub(o Vec4) Vec4 {
-	return Vec4{v.X - o.X, v.Y - o.Y, v.Z - o.Z, v.W - o.W}
-}
-
-// Scale returns v scaled by s.
-func (v Vec4) Scale(s float32) Vec4 {
-	return Vec4{v.X * s, v.Y * s, v.Z * s, v.W * s}
-}
-
-// Dot returns the dot product of v and o.
-func (v Vec4) Dot(o Vec4) float32 {
-	return v.X*o.X + v.Y*o.Y + v.Z*o.Z + v.W*o.W
-}
 
 // Lerp returns v + t*(o-v).
 func (v Vec4) Lerp(o Vec4, t float32) Vec4 {

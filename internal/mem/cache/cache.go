@@ -101,15 +101,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats clears the event counters but keeps cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Invalidate drops all cached lines and clears statistics.
-func (c *Cache) Invalidate() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	c.stats = Stats{}
-	c.tick = 0
-}
-
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)
@@ -226,15 +217,9 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Lines returns the line addresses currently resident, used to measure
-// block replication across sibling caches.
-func (c *Cache) Lines() []uint64 {
-	return c.AppendLines(nil)
-}
-
 // AppendLines appends the resident line addresses to dst and returns the
-// extended slice — the allocation-free form of Lines for callers with a
-// reusable scratch buffer.
+// extended slice, used with a reusable scratch buffer to measure block
+// replication across sibling caches.
 func (c *Cache) AppendLines(dst []uint64) []uint64 {
 	for _, l := range c.lines {
 		if l.valid {

@@ -123,18 +123,6 @@ func TestContainsDoesNotDisturbState(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(testConfig())
-	c.Access(0, true)
-	c.Invalidate()
-	if c.ValidLines() != 0 {
-		t.Error("lines survived invalidate")
-	}
-	if c.Stats().Accesses != 0 {
-		t.Error("stats survived invalidate")
-	}
-}
-
 // Property: hits + misses == accesses, and valid lines never exceed capacity.
 func TestCacheInvariants(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
@@ -186,12 +174,12 @@ func TestHitRatioEmptyCache(t *testing.T) {
 
 func TestLines(t *testing.T) {
 	c := New(testConfig())
-	if len(c.Lines()) != 0 {
+	if len(c.AppendLines(nil)) != 0 {
 		t.Error("fresh cache should have no lines")
 	}
 	c.Access(0x100, false)
 	c.Access(0x240, true)
-	lines := c.Lines()
+	lines := c.AppendLines(nil)
 	if len(lines) != 2 {
 		t.Fatalf("lines = %d, want 2", len(lines))
 	}

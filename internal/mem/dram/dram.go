@@ -182,9 +182,6 @@ func New(cfg Config) *DRAM {
 	return d
 }
 
-// Config returns the configuration in effect (defaults applied).
-func (d *DRAM) Config() Config { return d.cfg }
-
 // Stats returns the counters accumulated since the last ResetStats.
 func (d *DRAM) Stats() Stats { return d.stats }
 
@@ -308,10 +305,4 @@ func (d *DRAM) Access(now int64, addr uint64, write bool) (done int64) {
 		d.rec.DRAMAccess(ch, bk, start, done, write, rowHit, c.infLen)
 	}
 	return done
-}
-
-// PeakBandwidthLinesPerCycle returns the aggregate bus bandwidth in 64-byte
-// lines per cycle, used for utilization metrics.
-func (d *DRAM) PeakBandwidthLinesPerCycle() float64 {
-	return float64(d.cfg.Channels) / float64(d.cfg.BurstCycles)
 }

@@ -177,12 +177,7 @@ func TestLatencyNeverBelowDeviceMinimum(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	d := New(Config{})
-	cfg := d.Config()
-	def := DefaultConfig()
-	if cfg != def {
-		t.Errorf("zero config should yield defaults: got %+v", cfg)
-	}
-	if d.PeakBandwidthLinesPerCycle() <= 0 {
-		t.Error("peak bandwidth must be positive")
+	if d.cfg != DefaultConfig() {
+		t.Errorf("zero config should yield defaults: got %+v", d.cfg)
 	}
 }

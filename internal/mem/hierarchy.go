@@ -17,7 +17,6 @@ const (
 	ParamBase    uint64 = 0x2000_0000 // Parameter Buffer (per-tile primitive lists)
 	TextureBase  uint64 = 0x4000_0000 // texture images
 	FrameBase    uint64 = 0x8000_0000 // Frame Buffer (final colors)
-	LineBytes           = 64
 )
 
 // Level identifies where an access was served.

@@ -13,7 +13,6 @@ package raster
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/mem"
 	"repro/internal/tiling"
@@ -37,22 +36,22 @@ func (fb *FrameBuffer) Clear(color uint32) {
 	}
 }
 
-// At returns the pixel at (x, y).
-func (fb *FrameBuffer) At(x, y int) uint32 { return fb.Pixels[y*fb.W+x] }
-
-// Hash returns a FNV-1a digest of the frame contents; identical rendering
-// must produce identical hashes regardless of tile scheduling.
+// Hash returns the 64-bit FNV-1a digest of the pixels' little-endian bytes;
+// identical rendering must produce identical hashes regardless of tile
+// scheduling.
 func (fb *FrameBuffer) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [4]byte
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, p := range fb.Pixels {
-		buf[0] = byte(p)
-		buf[1] = byte(p >> 8)
-		buf[2] = byte(p >> 16)
-		buf[3] = byte(p >> 24)
-		h.Write(buf[:])
+		h = (h ^ uint64(p&0xff)) * prime64
+		h = (h ^ uint64(p>>8&0xff)) * prime64
+		h = (h ^ uint64(p>>16&0xff)) * prime64
+		h = (h ^ uint64(p>>24)) * prime64
 	}
-	return h.Sum64()
+	return h
 }
 
 // PPM renders the frame as a binary PPM (P6) image for visual inspection of
@@ -77,16 +76,10 @@ func (fb *FrameBuffer) PixelAddr(x, y int) uint64 {
 	return mem.FrameBase + uint64(y*fb.W+x)*4
 }
 
-// TileFlushLines returns the distinct frame-buffer line addresses written
-// when the given tile's Color Buffer is flushed (§II-A: the Color Buffer is
-// entirely written to main memory once per tile).
-func (fb *FrameBuffer) TileFlushLines(grid tiling.Grid, tileID int) []uint64 {
-	return fb.AppendTileFlushLines(nil, grid, tileID)
-}
-
-// AppendTileFlushLines appends the tile's flush-line addresses to dst and
-// returns the extended slice, allocating only when dst lacks capacity — the
-// steady-state form of TileFlushLines for reused TileWork buffers.
+// AppendTileFlushLines appends to dst the distinct frame-buffer line
+// addresses written when the given tile's Color Buffer is flushed (§II-A:
+// the Color Buffer is entirely written to main memory once per tile) and
+// returns the extended slice, allocating only when dst lacks capacity.
 //
 //libra:hotpath
 //libra:transient

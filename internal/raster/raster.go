@@ -172,18 +172,6 @@ func (r *Renderer) RenderTileInto(w *TileWork, sc *scene.Scene, prims []gpipe.Pr
 	w.FlushLines = fb.AppendTileFlushLines(w.FlushLines, r.grid, tileID)
 }
 
-// Reset restores the renderer to its just-constructed state. The on-chip
-// Z/Color buffers are re-cleared at every tile anyway, so Reset exists to
-// make the reuse contract explicit: a Reset renderer is indistinguishable
-// from a new one (the filtering mode, part of the configuration rather than
-// per-tile state, is preserved).
-func (r *Renderer) Reset() {
-	for i := range r.zbuf {
-		r.zbuf[i] = math.MaxFloat32
-		r.cbuf[i] = ClearColor
-	}
-}
-
 // local maps screen pixel (x, y) to the tile-local buffer index.
 func (r *Renderer) local(x, y int, rect geom.Rect) int {
 	return (y-rect.MinY)*tiling.TileSize + (x - rect.MinX)

@@ -1,6 +1,8 @@
 package raster
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/geom"
@@ -55,15 +57,15 @@ func TestRenderSingleTriangle(t *testing.T) {
 		t.Error("work trace is empty")
 	}
 	// A pixel deep inside the triangle got a non-clear color.
-	if fb.At(4, 4) == ClearColor {
+	if fb.Pixels[4*fb.W+4] == ClearColor {
 		t.Error("interior pixel not shaded")
 	}
 	// A pixel inside the tile but outside the triangle flushes clear.
-	if fb.At(30, 30) != ClearColor {
+	if fb.Pixels[30*fb.W+30] != ClearColor {
 		t.Error("pixel outside the triangle should flush the clear color")
 	}
 	// A pixel in a tile that was never rendered stays zero.
-	if fb.At(40, 40) != 0 {
+	if fb.Pixels[40*fb.W+40] != 0 {
 		t.Error("unrendered tile was modified")
 	}
 }
@@ -272,7 +274,7 @@ func TestColorPackRoundTrip(t *testing.T) {
 func TestFlushLinesFullTile(t *testing.T) {
 	grid := tiling.NewGrid(64, 64)
 	fb := NewFrameBuffer(64, 64)
-	lines := fb.TileFlushLines(grid, 0)
+	lines := fb.AppendTileFlushLines(nil, grid, 0)
 	// 32 rows × 128 bytes per row = 64 lines.
 	if len(lines) != 64 {
 		t.Errorf("full tile flush = %d lines, want 64", len(lines))
@@ -301,7 +303,7 @@ func TestEmptyTileStillFlushes(t *testing.T) {
 	if w.Instructions != 0 || len(w.Quads) != 0 {
 		t.Error("empty tile should have no shading work")
 	}
-	if fb.At(40, 40) != ClearColor {
+	if fb.Pixels[40*fb.W+40] != ClearColor {
 		t.Error("empty tile should flush the clear color")
 	}
 }
@@ -315,6 +317,19 @@ func TestFrameBufferHashSensitive(t *testing.T) {
 	b.Pixels[13] ^= 1
 	if a.Hash() == b.Hash() {
 		t.Error("hash must detect a single pixel change")
+	}
+	// The digest is FNV-1a over the little-endian pixel bytes.
+	for i := range b.Pixels {
+		b.Pixels[i] = uint32(i) * 0x9e3779b9
+	}
+	var bytes []byte
+	for _, p := range b.Pixels {
+		bytes = binary.LittleEndian.AppendUint32(bytes, p)
+	}
+	ref := fnv.New64a()
+	ref.Write(bytes)
+	if b.Hash() != ref.Sum64() {
+		t.Errorf("Hash = %#x, FNV-1a of the pixel bytes = %#x", b.Hash(), ref.Sum64())
 	}
 }
 

@@ -225,8 +225,8 @@ func TestVertexAddr(t *testing.T) {
 
 func TestCameraViewProj(t *testing.T) {
 	c := Camera{View: geom.Translate(1, 0, 0), Proj: geom.ScaleM(2, 2, 2)}
-	p := c.ViewProj().MulPoint(geom.V3(0, 0, 0))
-	if p != (geom.V3(2, 0, 0)) {
+	p := c.ViewProj().MulVec4(geom.Vec4{W: 1})
+	if p != (geom.Vec4{X: 2, W: 1}) {
 		t.Errorf("view-proj composition = %v", p)
 	}
 }

@@ -42,20 +42,11 @@ func NewRandomQueue(grid tiling.Grid, seed int64) *SingleQueue {
 	return NewSingleQueue(order, "random")
 }
 
-// AlternatingTemperature is a ranking ablation: supertiles ranked by
+// NewAlternatingTemperature is a ranking ablation: supertiles ranked by
 // temperature but dispatched alternately (hottest, coldest, 2nd hottest,
-// 2nd coldest, …) from a single shared queue instead of dedicating RU 0 to
-// the hot end. Isolates the value of the dedicated hot Raster Unit.
-type AlternatingTemperature struct {
-	super   tiling.SupertileGrid
-	queue   []int
-	next    int
-	pending [][]int
-}
-
-// NewAlternatingTemperature interleaves the hot and cold ends of the ranking
-// into one shared dispatch queue.
-func NewAlternatingTemperature(super tiling.SupertileGrid, ranked []int, numRUs int) *AlternatingTemperature {
+// 2nd coldest, …) from one shared supertile queue instead of dedicating RU 0
+// to the hot end. Isolates the value of the dedicated hot Raster Unit.
+func NewAlternatingTemperature(super tiling.SupertileGrid, ranked []int, numRUs int) *SupertileQueue {
 	queue := make([]int, 0, len(ranked))
 	lo, hi := 0, len(ranked)-1
 	for lo <= hi {
@@ -66,22 +57,5 @@ func NewAlternatingTemperature(super tiling.SupertileGrid, ranked []int, numRUs 
 			hi--
 		}
 	}
-	return &AlternatingTemperature{super: super, queue: queue, pending: make([][]int, numRUs)}
+	return NewSupertileQueue(super, queue, numRUs, "alt-temperature")
 }
-
-// NextTile implements Scheduler.
-func (a *AlternatingTemperature) NextTile(ru int) int {
-	if len(a.pending[ru]) == 0 {
-		if a.next >= len(a.queue) {
-			return -1
-		}
-		a.pending[ru] = a.super.TilesOf(a.queue[a.next])
-		a.next++
-	}
-	t := a.pending[ru][0]
-	a.pending[ru] = a.pending[ru][1:]
-	return t
-}
-
-// Name implements Scheduler.
-func (a *AlternatingTemperature) Name() string { return "alt-temperature" }

@@ -25,10 +25,3 @@ func RankingCycles(n int) int64 {
 	comparisons := float64(n) * math.Log2(float64(n))
 	return int64(3 * math.Ceil(comparisons))
 }
-
-// RankingHiddenUnderGeometry reports whether the ranking latency fits under
-// the geometry pipeline time, i.e. whether LIBRA adds zero timing overhead
-// for this frame (§III-E).
-func RankingHiddenUnderGeometry(n int, geometryCycles int64) bool {
-	return RankingCycles(n) <= geometryCycles
-}

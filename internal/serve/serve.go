@@ -116,9 +116,6 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Store returns the server's result store (nil when persistence is off).
-func (s *Server) Store() *resultstore.Store { return s.store }
-
 // Admission returns the server's limiter (stats and tests).
 func (s *Server) Admission() *Admission { return s.adm }
 

@@ -73,6 +73,7 @@ func DefaultConfig() Config {
 		FrontEndCyclesPerQuad: 2,
 		PrimSetupCycles:       4,
 		QuadBlock:             4,
+		Filtering:             raster.FilterNearest,
 		TexL1:                 cache.Config{Name: "tex", SizeBytes: 32 * 1024, LineBytes: 64, Ways: 4, HitLatency: 2},
 		TileCache:             cache.Config{Name: "tile", SizeBytes: 32 * 1024, LineBytes: 64, Ways: 4, HitLatency: 2},
 	}
@@ -281,9 +282,6 @@ func NewEngine(cfg Config, grid tiling.Grid, hier *mem.Hierarchy) *Engine {
 func texCacheName(ru, core int) string {
 	return fmt.Sprintf("tex%d.%d", ru, core)
 }
-
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // SetRecorder attaches (or, with nil, detaches) the telemetry recorder that
 // receives per-tile spans. Call before RunRaster.

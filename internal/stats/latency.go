@@ -31,9 +31,6 @@ func bucketOf(lat int64) int {
 	return b
 }
 
-// Count returns the number of recorded samples.
-func (t *LatencyTracker) Count() uint64 { return t.count }
-
 // Mean returns the mean latency.
 func (t *LatencyTracker) Mean() float64 {
 	if t.count == 0 {
@@ -90,6 +87,3 @@ func (t *LatencyTracker) Merge(o *LatencyTracker) {
 		t.max = o.max
 	}
 }
-
-// Reset clears the tracker.
-func (t *LatencyTracker) Reset() { *t = LatencyTracker{} }

@@ -7,14 +7,14 @@ import (
 
 func TestLatencyTrackerBasics(t *testing.T) {
 	var tr LatencyTracker
-	if tr.Count() != 0 || tr.Mean() != 0 || tr.Percentile(0.5) != 0 {
+	if tr.Mean() != 0 || tr.Max() != 0 || tr.Percentile(0.5) != 0 {
 		t.Error("empty tracker should report zeros")
 	}
 	for i := 0; i < 100; i++ {
 		tr.Record(10)
 	}
-	if tr.Count() != 100 || tr.Mean() != 10 {
-		t.Errorf("count=%d mean=%v", tr.Count(), tr.Mean())
+	if tr.Mean() != 10 {
+		t.Errorf("mean=%v", tr.Mean())
 	}
 	if tr.Max() != 10 {
 		t.Errorf("max=%d", tr.Max())
@@ -67,21 +67,21 @@ func TestLatencyTrackerMonotonicPercentiles(t *testing.T) {
 func TestLatencyTrackerNegativeClamped(t *testing.T) {
 	var tr LatencyTracker
 	tr.Record(-5)
-	if tr.Count() != 1 || tr.Max() != 0 {
+	if tr.Max() != 0 {
 		t.Error("negative sample should clamp to zero")
+	}
+	tr.Record(10)
+	if tr.Mean() != 5 {
+		t.Errorf("mean = %v, want 5: the clamped sample counts as 0", tr.Mean())
 	}
 }
 
-func TestLatencyTrackerMergeAndReset(t *testing.T) {
+func TestLatencyTrackerMerge(t *testing.T) {
 	var a, b LatencyTracker
 	a.Record(10)
 	b.Record(1000)
 	a.Merge(&b)
-	if a.Count() != 2 || a.Max() != 1000 {
-		t.Errorf("merge failed: %+v", a.Count())
-	}
-	a.Reset()
-	if a.Count() != 0 || a.Max() != 0 {
-		t.Error("reset failed")
+	if a.Mean() != 505 || a.Max() != 1000 {
+		t.Errorf("merge failed: mean=%v max=%d", a.Mean(), a.Max())
 	}
 }

@@ -1,13 +1,11 @@
 // Package stats provides the measurement plumbing of the simulator: per-tile
 // counter tables (the temperature inputs of §III-B), interval histograms of
-// DRAM requests (Fig. 7), cumulative-difference distributions (Fig. 8),
-// screen-space heatmaps (Figs. 2 and 9), and small statistical helpers.
+// DRAM requests (Fig. 7), screen-space heatmaps (Figs. 2 and 9), and the
+// latency distribution of the load generator.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -54,15 +52,6 @@ func (t *TileTable) Clone() *TileTable {
 	return c
 }
 
-// Temperature returns the DRAM-accesses-per-instruction ratio of tile id —
-// the paper's tile temperature metric.
-func (t *TileTable) Temperature(id int) float64 {
-	if t.Instructions[id] == 0 {
-		return 0
-	}
-	return float64(t.DRAMAccesses[id]) / float64(t.Instructions[id])
-}
-
 // TotalDRAM returns the sum of DRAM accesses over all tiles.
 func (t *TileTable) TotalDRAM() uint64 {
 	var s uint64
@@ -100,93 +89,6 @@ func (h *IntervalHistogram) Record(cycle int64) {
 	h.Counts[idx]++
 }
 
-// Reset clears all windows.
-func (h *IntervalHistogram) Reset() { h.Counts = h.Counts[:0] }
-
-// Total returns the number of recorded events.
-func (h *IntervalHistogram) Total() uint64 {
-	var s uint64
-	for _, c := range h.Counts {
-		s += uint64(c)
-	}
-	return s
-}
-
-// Peak returns the largest window count.
-func (h *IntervalHistogram) Peak() uint32 {
-	var m uint32
-	for _, c := range h.Counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// Mean returns the mean window count over non-empty histograms.
-func (h *IntervalHistogram) Mean() float64 {
-	if len(h.Counts) == 0 {
-		return 0
-	}
-	return float64(h.Total()) / float64(len(h.Counts))
-}
-
-// CoefficientOfVariation returns stddev/mean of the window counts — the
-// burstiness metric LIBRA's scheduler is designed to reduce.
-func (h *IntervalHistogram) CoefficientOfVariation() float64 {
-	n := len(h.Counts)
-	if n == 0 {
-		return 0
-	}
-	mean := h.Mean()
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, c := range h.Counts {
-		d := float64(c) - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(n)) / mean
-}
-
-// CDF computes cumulative-distribution points from a sample set.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds a CDF over the given samples (a copy is taken).
-func NewCDF(samples []float64) *CDF {
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// FractionBelow returns the fraction of samples with value <= x.
-func (c *CDF) FractionBelow(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Percentile returns the value at quantile q in [0, 1].
-func (c *CDF) Percentile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := int(q * float64(len(c.sorted)-1))
-	return c.sorted[idx]
-}
-
 // Heatmap is a dense 2D grid of per-tile values with rendering helpers.
 type Heatmap struct {
 	W, H   int
@@ -196,15 +98,6 @@ type Heatmap struct {
 // NewHeatmap creates a zeroed w×h heatmap.
 func NewHeatmap(w, h int) *Heatmap {
 	return &Heatmap{W: w, H: h, Values: make([]float64, w*h)}
-}
-
-// HeatmapFromTileTable builds a heatmap of per-tile DRAM accesses.
-func HeatmapFromTileTable(t *TileTable) *Heatmap {
-	hm := NewHeatmap(t.W, t.H)
-	for i, v := range t.DRAMAccesses {
-		hm.Values[i] = float64(v)
-	}
-	return hm
 }
 
 // Set assigns value v at tile (x, y).
@@ -284,31 +177,4 @@ func (m *Heatmap) Downsample(factor int) *Heatmap {
 		}
 	}
 	return out
-}
-
-// Mean returns the arithmetic mean of a sample set (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive samples (0 for empty input).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

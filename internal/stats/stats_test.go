@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestTileTableCounters(t *testing.T) {
@@ -16,12 +14,6 @@ func TestTileTableCounters(t *testing.T) {
 	tt.AddInstructions(5, 100)
 	if tt.DRAMAccesses[5] != 10 || tt.Instructions[5] != 100 {
 		t.Error("counter updates lost")
-	}
-	if got := tt.Temperature(5); got != 0.1 {
-		t.Errorf("temperature = %v, want 0.1", got)
-	}
-	if got := tt.Temperature(0); got != 0 {
-		t.Errorf("empty tile temperature = %v, want 0", got)
 	}
 	if tt.TotalDRAM() != 10 {
 		t.Errorf("TotalDRAM = %d", tt.TotalDRAM())
@@ -54,19 +46,9 @@ func TestIntervalHistogram(t *testing.T) {
 	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[2] != 1 {
 		t.Errorf("counts = %v", h.Counts)
 	}
-	if h.Total() != 4 || h.Peak() != 2 {
-		t.Errorf("total=%d peak=%d", h.Total(), h.Peak())
-	}
-	if got := h.Mean(); math.Abs(got-4.0/3) > 1e-9 {
-		t.Errorf("mean = %v", got)
-	}
 	h.Record(-5) // clamps to window 0
 	if h.Counts[0] != 3 {
 		t.Error("negative cycle should clamp to first window")
-	}
-	h.Reset()
-	if h.Total() != 0 {
-		t.Error("reset failed")
 	}
 }
 
@@ -77,74 +59,6 @@ func TestIntervalHistogramPanicsOnBadWidth(t *testing.T) {
 		}
 	}()
 	NewIntervalHistogram(0)
-}
-
-func TestCoefficientOfVariation(t *testing.T) {
-	flat := NewIntervalHistogram(10)
-	for i := int64(0); i < 100; i++ {
-		flat.Record(i) // 10 per window
-	}
-	bursty := NewIntervalHistogram(10)
-	for i := 0; i < 100; i++ {
-		bursty.Record(5) // all in one window
-	}
-	bursty.Record(95) // open a second, nearly empty window
-	if flat.CoefficientOfVariation() != 0 {
-		t.Errorf("uniform CV = %v, want 0", flat.CoefficientOfVariation())
-	}
-	if bursty.CoefficientOfVariation() <= flat.CoefficientOfVariation() {
-		t.Error("bursty traffic must have higher CV than uniform")
-	}
-	empty := NewIntervalHistogram(10)
-	if empty.CoefficientOfVariation() != 0 {
-		t.Error("empty histogram CV should be 0")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5})
-	if got := c.FractionBelow(3); got != 0.6 {
-		t.Errorf("FractionBelow(3) = %v, want 0.6", got)
-	}
-	if got := c.FractionBelow(0); got != 0 {
-		t.Errorf("FractionBelow(0) = %v", got)
-	}
-	if got := c.FractionBelow(10); got != 1 {
-		t.Errorf("FractionBelow(10) = %v", got)
-	}
-	if got := c.Percentile(0); got != 1 {
-		t.Errorf("P0 = %v", got)
-	}
-	if got := c.Percentile(1); got != 5 {
-		t.Errorf("P100 = %v", got)
-	}
-	empty := NewCDF(nil)
-	if empty.FractionBelow(1) != 0 || empty.Percentile(0.5) != 0 {
-		t.Error("empty CDF should return zeros")
-	}
-}
-
-// Property: FractionBelow is monotonically non-decreasing.
-func TestCDFMonotonic(t *testing.T) {
-	f := func(samples []float64, a, b float64) bool {
-		for i, s := range samples {
-			if math.IsNaN(s) {
-				samples[i] = 0
-			}
-		}
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		c := NewCDF(samples)
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		return c.FractionBelow(lo) <= c.FractionBelow(hi)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestHeatmapRendering(t *testing.T) {
@@ -202,29 +116,5 @@ func TestHeatmapDownsample(t *testing.T) {
 	d2 := m2.Downsample(2)
 	if d2.W != 3 || d2.H != 2 {
 		t.Errorf("rounded dims = %dx%d, want 3x2", d2.W, d2.H)
-	}
-}
-
-func TestHeatmapFromTileTable(t *testing.T) {
-	tt := NewTileTable(2, 2)
-	tt.AddDRAM(3, 7)
-	m := HeatmapFromTileTable(tt)
-	if m.At(1, 1) != 7 {
-		t.Errorf("heatmap value = %v, want 7", m.At(1, 1))
-	}
-}
-
-func TestMeans(t *testing.T) {
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
-		t.Error("empty means should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Error("GeoMean with non-positive sample should be 0")
 	}
 }

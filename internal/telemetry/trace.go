@@ -155,9 +155,6 @@ func NewTrace(cfg TraceConfig) *Trace {
 	}
 }
 
-// Registry returns the trace's metrics registry.
-func (t *Trace) Registry() *Registry { return t.reg }
-
 // Events returns how many trace events are retained.
 func (t *Trace) Events() int {
 	t.mu.Lock()

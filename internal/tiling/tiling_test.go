@@ -69,8 +69,8 @@ func TestTileRectClamped(t *testing.T) {
 	if r.MaxX != 999 || r.MaxY != 999 {
 		t.Errorf("edge tile rect = %+v", r)
 	}
-	if r.Width() != 1000-31*32 {
-		t.Errorf("edge tile width = %d", r.Width())
+	if w := r.MaxX - r.MinX + 1; w != 1000-31*32 {
+		t.Errorf("edge tile width = %d", w)
 	}
 }
 

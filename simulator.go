@@ -199,38 +199,9 @@ func tileGrid(tt *stats.TileTable) [][]float64 {
 	return out
 }
 
-// HeatmapASCII renders a per-tile heatmap (e.g. FrameResult.TileDRAM) as
-// terminal art, one character per tile from '.' (cold) to '@' (hot).
-func HeatmapASCII(grid [][]float64) string {
-	if len(grid) == 0 {
-		return ""
-	}
-	hm := stats.NewHeatmap(len(grid[0]), len(grid))
-	for y, row := range grid {
-		for x, v := range row {
-			hm.Set(x, y, v)
-		}
-	}
-	return hm.ASCII()
-}
-
-// HeatmapPGM renders a per-tile heatmap as an ASCII PGM (P2) image.
-func HeatmapPGM(grid [][]float64) string {
-	if len(grid) == 0 {
-		return ""
-	}
-	hm := stats.NewHeatmap(len(grid[0]), len(grid))
-	for y, row := range grid {
-		for x, v := range row {
-			hm.Set(x, y, v)
-		}
-	}
-	return hm.PGM()
-}
-
-// DownsampleHeatmap aggregates a tile heatmap at supertile granularity
-// (factor×factor tiles per cell, summed) — the supertile view of Fig. 9.
-func DownsampleHeatmap(grid [][]float64, factor int) [][]float64 {
+// heatmapOf copies a per-tile grid (rows of equal length) into a
+// stats.Heatmap; an empty grid gives nil.
+func heatmapOf(grid [][]float64) *stats.Heatmap {
 	if len(grid) == 0 {
 		return nil
 	}
@@ -239,6 +210,35 @@ func DownsampleHeatmap(grid [][]float64, factor int) [][]float64 {
 		for x, v := range row {
 			hm.Set(x, y, v)
 		}
+	}
+	return hm
+}
+
+// HeatmapASCII renders a per-tile heatmap (e.g. FrameResult.TileDRAM) as
+// terminal art, one character per tile from '.' (cold) to '@' (hot).
+func HeatmapASCII(grid [][]float64) string {
+	hm := heatmapOf(grid)
+	if hm == nil {
+		return ""
+	}
+	return hm.ASCII()
+}
+
+// HeatmapPGM renders a per-tile heatmap as an ASCII PGM (P2) image.
+func HeatmapPGM(grid [][]float64) string {
+	hm := heatmapOf(grid)
+	if hm == nil {
+		return ""
+	}
+	return hm.PGM()
+}
+
+// DownsampleHeatmap aggregates a tile heatmap at supertile granularity
+// (factor×factor tiles per cell, summed) — the supertile view of Fig. 9.
+func DownsampleHeatmap(grid [][]float64, factor int) [][]float64 {
+	hm := heatmapOf(grid)
+	if hm == nil {
+		return nil
 	}
 	d := hm.Downsample(factor)
 	out := make([][]float64, d.H)
