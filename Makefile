@@ -25,8 +25,12 @@ BENCH_RECORD ?= /tmp/libra-bench/BENCH_ci.json
 # Where `make profile` keeps its CPU profile and the test binary pprof
 # symbolizes it with.
 PROFILE_DIR ?= /tmp/libra-profile
+# The benchmark `make profile` runs: a steady-state frame by default;
+# `make profile PROFILE_BENCH='^BenchmarkFrameReplay$$'` profiles the trace
+# replay alone.
+PROFILE_BENCH ?= ^BenchmarkFrame$$
 
-.PHONY: build test race fmt vet lint lint-fix-check bench bench-json bench-gate bench-gate-update profile cover determinism trace-smoke store-smoke serve-smoke fuzz ci
+.PHONY: build test race fmt vet lint lint-fix-check bench bench-json bench-gate bench-gate-update profile cover determinism trace-smoke store-smoke serve-smoke simbench-test fuzz ci
 
 build:
 	$(GO) build $(PKGS)
@@ -98,12 +102,12 @@ bench-gate-update:
 
 # Where a steady-state frame's host time goes: BenchmarkFrame (SuS, LIBRA
 # 2 RU, 640×384) under the CPU profiler, then the 25 heaviest functions by
-# self time, with cumulative time beside them (DESIGN.md's frame cost
-# table). Open the profile further with
+# self time, with cumulative time beside them (DESIGN.md's cost tables).
+# Open the profile further with
 # `go tool pprof $(PROFILE_DIR)/libra.test $(PROFILE_DIR)/cpu.prof`.
 profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench '^BenchmarkFrame$$' -benchtime 40x -timeout 0 \
+	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime 40x -timeout 0 \
 		-cpuprofile $(PROFILE_DIR)/cpu.prof -o $(PROFILE_DIR)/libra.test .
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/libra.test $(PROFILE_DIR)/cpu.prof
 
@@ -167,6 +171,12 @@ store-smoke:
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
+# simbench's own tests (~80 s): its planted-fault checks, and the replay
+# check that re-encodes every decoded trace. simbench is a module of its own,
+# so `make test` does not reach them.
+simbench-test:
+	$(GO) -C simbench test ./...
+
 # Short coverage-guided fuzzing bursts on top of the committed seed corpora
 # (which plain `go test` already replays on every run).
 fuzz:
@@ -175,5 +185,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzResultKey -fuzztime 15s ./internal/experiments
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunRequest -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzTileSignature -fuzztime 15s ./internal/tiling
+	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 15s ./internal/trace
 
-ci: build vet fmt lint lint-fix-check test race bench bench-gate determinism trace-smoke store-smoke serve-smoke fuzz cover
+ci: build vet fmt lint lint-fix-check test simbench-test race bench bench-gate determinism trace-smoke store-smoke serve-smoke fuzz cover

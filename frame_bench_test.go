@@ -70,3 +70,31 @@ func BenchmarkFrameWorkers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFrameReplay times simbench's replay op through the public API:
+// one 4-pass ReplayTrace of a SuS frame captured after 4 warm-up frames,
+// under the four paper policies in turn. No functional raster runs, so the
+// op is the trace decoder, the timing replay, the scheduler and the memory
+// model.
+func BenchmarkFrameReplay(b *testing.B) {
+	cfg := libra.LIBRA(640, 384, 2)
+	cfg.L2KB = 1024 // librasim's and simbench's default
+	run, err := libra.NewRun(cfg, "SuS")
+	if err != nil {
+		b.Fatal(err)
+	}
+	run.RenderFrames(4)
+	_, data, err := run.CaptureTrace()
+	if err != nil {
+		b.Fatal(err)
+	}
+	policies := []libra.Policy{libra.PolicyZOrder, libra.PolicyStaticSupertile, libra.PolicyTemperature, libra.PolicyLIBRA}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Policy = policies[i%len(policies)]
+		if _, err := libra.ReplayTrace(cfg, data, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

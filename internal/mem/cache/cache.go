@@ -54,21 +54,19 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-type line struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
-	lastUse uint64
-}
-
-// Cache is a single set-associative cache level.
+// Cache is a single set-associative cache level. Each set keeps its valid
+// lines in recency order, most recently used first: a hit moves its line to
+// the front, a fill enters at the front, and a full set evicts its last line.
+// That is exact LRU with no per-line timestamps and no victim scan.
 type Cache struct {
-	cfg       Config
-	lines     []line // numSets*ways, set-major
-	numSets   int
+	cfg Config
+	// tags and dirty are numSets*ways, set-major; set s's valid lines are
+	// the first valid[s] slots of its row.
+	tags      []uint64
+	dirty     []bool
+	valid     []int
 	lineShift uint
 	setMask   uint64
-	tick      uint64
 	stats     Stats
 }
 
@@ -85,8 +83,9 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:       cfg,
-		lines:     make([]line, numSets*cfg.Ways),
-		numSets:   numSets,
+		tags:      make([]uint64, numSets*cfg.Ways),
+		dirty:     make([]bool, numSets*cfg.Ways),
+		valid:     make([]int, numSets),
 		lineShift: shift,
 		setMask:   uint64(numSets - 1),
 	}
@@ -114,54 +113,71 @@ type Result struct {
 	Dirty   bool   // the displaced line was dirty and must be written back
 }
 
+// lookup returns the tag of addr, its set, and the recency rank of its line
+// in the set (0 = most recently used), or -1 when the line is not resident.
+func (c *Cache) lookup(addr uint64) (tag uint64, set, rank int) {
+	tag = addr >> c.lineShift
+	set = int(tag & c.setMask)
+	base := set * c.cfg.Ways
+	for i, t := range c.tags[base : base+c.valid[set]] {
+		if t == tag {
+			return tag, set, i
+		}
+	}
+	return tag, set, -1
+}
+
+// promote moves the line in slot i of the row at base to the front, the
+// most recently used slot, and the lines before it back by one.
+func (c *Cache) promote(base, i int) {
+	tags, dirty := c.tags[base:base+i+1], c.dirty[base:base+i+1]
+	tag, d := tags[i], dirty[i]
+	for j := i; j > 0; j-- {
+		tags[j], dirty[j] = tags[j-1], dirty[j-1]
+	}
+	tags[0], dirty[0] = tag, d
+}
+
+// fill enters tag at the front of set as its most recently used line,
+// evicting the least recently used line when the set is full.
+func (c *Cache) fill(tag uint64, set int, dirty bool) Result {
+	base, n := set*c.cfg.Ways, c.valid[set]
+	var res Result
+	if n == c.cfg.Ways {
+		n--
+		res = Result{Evicted: true, Victim: c.tags[base+n] << c.lineShift, Dirty: c.dirty[base+n]}
+	} else {
+		c.valid[set] = n + 1
+	}
+	c.tags[base+n], c.dirty[base+n] = tag, dirty
+	c.promote(base, n)
+	return res
+}
+
 // Access performs a read (write=false) or write (write=true) of the line
 // containing addr, allocating on miss and evicting LRU when the set is full.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	c.tick++
 	c.stats.Accesses++
-	tag := addr >> c.lineShift
-	set := int(tag & c.setMask)
-	base := set * c.cfg.Ways
-	ways := c.lines[base : base+c.cfg.Ways]
-
-	// Hit path.
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			c.stats.Hits++
-			ways[i].lastUse = c.tick
-			if write {
-				ways[i].dirty = true
-			}
-			return Result{Hit: true}
+	tag, set, i := c.lookup(addr)
+	if i >= 0 {
+		c.stats.Hits++
+		base := set * c.cfg.Ways
+		if i > 0 {
+			c.promote(base, i)
 		}
+		if write {
+			c.dirty[base] = true
+		}
+		return Result{Hit: true}
 	}
-
-	// Miss: choose a victim (invalid line first, else LRU).
 	c.stats.Misses++
-	victim := 0
-	oldest := ^uint64(0)
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			oldest = 0
-			break
-		}
-		if ways[i].lastUse < oldest {
-			oldest = ways[i].lastUse
-			victim = i
-		}
-	}
-	var res Result
-	if ways[victim].valid {
+	res := c.fill(tag, set, write)
+	if res.Evicted {
 		c.stats.Evictions++
-		res.Evicted = true
-		res.Victim = ways[victim].tag << c.lineShift
-		if ways[victim].dirty {
+		if res.Dirty {
 			c.stats.Writebacks++
-			res.Dirty = true
 		}
 	}
-	ways[victim] = line{tag: tag, valid: true, dirty: write, lastUse: c.tick}
 	return res
 }
 
@@ -169,61 +185,32 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // statistics — the fill path used by prefetchers. Returns eviction info like
 // Access. Installing an already-resident line refreshes its LRU position.
 func (c *Cache) Install(addr uint64) Result {
-	c.tick++
-	tag := addr >> c.lineShift
-	set := int(tag & c.setMask)
-	base := set * c.cfg.Ways
-	ways := c.lines[base : base+c.cfg.Ways]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].lastUse = c.tick
-			return Result{Hit: true}
+	tag, set, i := c.lookup(addr)
+	if i >= 0 {
+		if i > 0 {
+			c.promote(set*c.cfg.Ways, i)
 		}
+		return Result{Hit: true}
 	}
-	victim := 0
-	oldest := ^uint64(0)
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			oldest = 0
-			break
-		}
-		if ways[i].lastUse < oldest {
-			oldest = ways[i].lastUse
-			victim = i
-		}
-	}
-	var res Result
-	if ways[victim].valid {
-		res.Evicted = true
-		res.Victim = ways[victim].tag << c.lineShift
-		res.Dirty = ways[victim].dirty
-	}
-	ways[victim] = line{tag: tag, valid: true, lastUse: c.tick}
-	return res
+	return c.fill(tag, set, false)
 }
 
 // Contains probes for the line containing addr without disturbing LRU state
 // or statistics. It is used to measure inter-cache block replication.
 func (c *Cache) Contains(addr uint64) bool {
-	tag := addr >> c.lineShift
-	set := int(tag & c.setMask)
-	base := set * c.cfg.Ways
-	for _, l := range c.lines[base : base+c.cfg.Ways] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	_, _, i := c.lookup(addr)
+	return i >= 0
 }
 
 // AppendLines appends the resident line addresses to dst and returns the
 // extended slice, used with a reusable scratch buffer to measure block
-// replication across sibling caches.
+// replication across sibling caches. Lines come set by set, most recently
+// used first within a set.
 func (c *Cache) AppendLines(dst []uint64) []uint64 {
-	for _, l := range c.lines {
-		if l.valid {
-			dst = append(dst, l.tag<<c.lineShift)
+	for set, n := range c.valid {
+		base := set * c.cfg.Ways
+		for _, t := range c.tags[base : base+n] {
+			dst = append(dst, t<<c.lineShift)
 		}
 	}
 	return dst
@@ -233,10 +220,8 @@ func (c *Cache) AppendLines(dst []uint64) []uint64 {
 // occupancy metric).
 func (c *Cache) ValidLines() int {
 	n := 0
-	for _, l := range c.lines {
-		if l.valid {
-			n++
-		}
+	for _, v := range c.valid {
+		n += v
 	}
 	return n
 }

@@ -15,7 +15,11 @@
 // so requests from concurrently-rendering tiles naturally contend here.
 package dram
 
-import "repro/internal/telemetry"
+import (
+	"math"
+
+	"repro/internal/telemetry"
+)
 
 // Config holds DRAM geometry and timing, in GPU core cycles (the simulator
 // runs on a single clock domain; LPDDR4 timings are pre-converted).
@@ -110,6 +114,10 @@ type channel struct {
 	inflight []int64 // ring storage, len == QueueDepth
 	infHead  int     // index of the oldest outstanding request
 	infLen   int     // outstanding request count
+	// infMin is a lower bound on the completion times in the ring: while
+	// it is later than an arrival, no request has completed by then and
+	// compaction would drop nothing.
+	infMin int64
 }
 
 // infAt returns the i-th oldest outstanding completion time.
@@ -175,6 +183,7 @@ func New(cfg Config) *DRAM {
 	for i := range d.channels {
 		d.channels[i].banks = make([]bank, cfg.Banks)
 		d.channels[i].inflight = make([]int64, cfg.QueueDepth)
+		d.channels[i].infMin = math.MaxInt64
 		for b := range d.channels[i].banks {
 			d.channels[i].banks[b].openRow = -1
 		}
@@ -274,18 +283,23 @@ func (d *DRAM) Access(now int64, addr uint64, write bool) (done int64) {
 		b.readyAt = start + deviceLat
 	}
 
-	// Track outstanding requests (drop completed ones lazily): compact the
-	// still-live completion times toward the ring head, then push done.
-	w := 0
-	for i := 0; i < c.infLen; i++ {
-		if t := c.infAt(i); t > now {
-			c.infSet(w, t)
-			w++
+	// Track outstanding requests (drop completed ones lazily): when one may
+	// have completed by now, compact the still-live completion times toward
+	// the ring head; then push done.
+	if c.infMin <= now {
+		w, m := 0, int64(math.MaxInt64)
+		for i := 0; i < c.infLen; i++ {
+			if t := c.infAt(i); t > now {
+				c.infSet(w, t)
+				w++
+				m = min(m, t)
+			}
 		}
+		c.infLen, c.infMin = w, m
 	}
-	c.infLen = w
 	c.infSet(c.infLen, done)
 	c.infLen++
+	c.infMin = min(c.infMin, done)
 
 	lat := done - now
 	if write {

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"repro/internal/raster"
@@ -35,13 +36,10 @@ const (
 	version = 1
 )
 
-// Buffered writers and readers are pooled: trace capture runs once per frame
-// in the steady-state loop, and the 4 KiB bufio buffers dominate what would
-// otherwise be Write/Read's only allocations.
-var (
-	writerPool = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
-	readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
-)
+// Buffered writers are pooled: trace capture runs once per frame in the
+// steady-state loop, and the 4 KiB bufio buffer would otherwise be Write's
+// only allocation.
+var writerPool = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
 
 // FrameTrace is one frame's complete raster workload.
 type FrameTrace struct {
@@ -105,100 +103,207 @@ func writeAddrs(bw *bufio.Writer, addrs []uint64) {
 	}
 }
 
-// Read deserializes a trace written by Write.
+// Read deserializes a trace written by Write. It decodes the varints by
+// index out of a pooled window onto r, which it refills as the decoding
+// reaches its end.
 func Read(r io.Reader) (*FrameTrace, error) {
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(r)
+	d := decoderPool.Get().(*decoder)
+	d.reset(r)
 	defer func() {
-		br.Reset(nil)
-		readerPool.Put(br)
+		d.reset(nil)
+		decoderPool.Put(d)
 	}()
-	var head [5]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return nil, err
+	for len(d.b) < 5 && d.rerr == nil {
+		d.fill()
 	}
+	if len(d.b) < 5 {
+		if len(d.b) > 0 && d.rerr == io.EOF {
+			return nil, io.ErrUnexpectedEOF
+		}
+		return nil, d.rerr
+	}
+	head := d.b[:5]
 	if string(head[:4]) != magic {
 		return nil, errors.New("trace: bad magic")
 	}
 	if head[4] != version {
 		return nil, fmt.Errorf("trace: unsupported version %d", head[4])
 	}
+	d.off = 5
 	ft := &FrameTrace{}
-	var err error
-	ft.ScreenW, err = getInt(br, err)
-	ft.ScreenH, err = getInt(br, err)
-	n, err := getInt(br, err)
-	if err != nil {
-		return nil, err
+	ft.ScreenW = d.int()
+	ft.ScreenH = d.int()
+	n := d.int()
+	if d.err != nil {
+		return nil, d.err
 	}
 	if n < 0 || n > 1<<22 {
 		return nil, fmt.Errorf("trace: implausible tile count %d", n)
 	}
-	ft.Tiles = make([]raster.TileWork, n)
-	for i := range ft.Tiles {
-		if err := readTile(br, &ft.Tiles[i]); err != nil {
+	ft.Tiles = make([]raster.TileWork, 0, min(n, d.left()/minTileBytes))
+	for i := 0; i < n; i++ {
+		ft.Tiles = append(ft.Tiles, raster.TileWork{})
+		if err := d.tile(&ft.Tiles[i]); err != nil {
 			return nil, err
 		}
 	}
 	return ft, nil
 }
 
-func readTile(br *bufio.Reader, tw *raster.TileWork) error {
-	var err error
-	tw.TileID, err = getInt(br, err)
-	tw.Primitives, err = getInt(br, err)
-	instr, err := getUint(br, err)
-	tw.Instructions = instr
-	tw.FragmentsShaded, err = getInt(br, err)
-	tw.FragmentsKilled, err = getInt(br, err)
-	tw.PixelsCovered, err = getInt(br, err)
-	nq, err := getInt(br, err)
-	if err != nil {
-		return err
+// minTileBytes is the smallest encoded tile: ten one-byte varints (six
+// counters, the quad count and three empty address streams).
+const minTileBytes = 10
+
+// decoder reads varints by index out of a window onto its input. The first
+// decoding error sticks: later reads leave it in place, and the callers
+// check it before using what they read.
+type decoder struct {
+	r    io.Reader
+	b    []byte // bytes read from r; its capacity is the window
+	off  int    // b[off:] is not yet decoded
+	rerr error  // r's error once it returned one; io.EOF at its end
+	err  error
+}
+
+// decoderPool holds decoders with their 4 KiB windows, bufio's default
+// buffer size.
+var decoderPool = sync.Pool{New: func() any { return &decoder{b: make([]byte, 0, 4096)} }}
+
+func (d *decoder) reset(r io.Reader) {
+	d.r, d.b, d.off, d.rerr, d.err = r, d.b[:0], 0, nil, nil
+}
+
+// fill moves the undecoded bytes to the front of the window and reads more
+// behind them. Like bufio.Reader's, it gives up with io.ErrNoProgress after
+// 100 reads that return neither data nor an error.
+func (d *decoder) fill() {
+	d.b, d.off = d.b[:copy(d.b[:cap(d.b)], d.b[d.off:])], 0
+	for i := 0; i < 100; i++ {
+		n, err := d.r.Read(d.b[len(d.b):cap(d.b)])
+		d.b = d.b[:len(d.b)+n]
+		d.rerr = err
+		if n > 0 || err != nil {
+			return
+		}
+	}
+	d.rerr = io.ErrNoProgress
+}
+
+// left returns an upper bound on the bytes still to decode: exact when r
+// reports how many bytes it has left, as bytes.Reader does, else
+// math.MaxInt. Declared counts are checked against it, so that a corrupt
+// count cannot allocate more than the input could fill.
+func (d *decoder) left() int {
+	if s, ok := d.r.(interface{ Len() int }); ok {
+		return len(d.b) - d.off + s.Len()
+	}
+	return math.MaxInt
+}
+
+// uvarint decodes one varint with binary.ReadUvarint's results and errors.
+// A one-byte varint in the window takes the fast path.
+func (d *decoder) uvarint() uint64 {
+	if b, i := d.b, d.off; uint(i) < uint(len(b)) && b[i] < 0x80 {
+		d.off = i + 1
+		return uint64(b[i])
+	}
+	return d.uvarintLong()
+}
+
+func (d *decoder) uvarintLong() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		for d.off+i == len(d.b) { // fill keeps b[off:], moved to the front
+			if d.rerr != nil {
+				if d.rerr == io.EOF && i > 0 {
+					d.err = io.ErrUnexpectedEOF
+				} else {
+					d.err = d.rerr
+				}
+				return 0
+			}
+			d.fill()
+		}
+		c := d.b[d.off+i]
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				break
+			}
+			d.off += i + 1
+			return x | uint64(c)<<s
+		}
+		x |= uint64(c&0x7f) << s
+		s += 7
+	}
+	d.err = errOverflow
+	return 0
+}
+
+// errOverflow is binary.ReadUvarint's error for a varint longer than 64
+// bits, with its wording: ReplayTrace returns it to callers.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+func (d *decoder) int() int { return int(d.uvarint()) }
+
+func (d *decoder) tile(tw *raster.TileWork) error {
+	tw.TileID = d.int()
+	tw.Primitives = d.int()
+	tw.Instructions = d.uvarint()
+	tw.FragmentsShaded = d.int()
+	tw.FragmentsKilled = d.int()
+	tw.PixelsCovered = d.int()
+	nq := d.int()
+	if d.err != nil {
+		return d.err
 	}
 	if nq < 0 || nq > 1<<24 {
 		return fmt.Errorf("trace: implausible quad count %d", nq)
+	}
+	if nq > d.left()/4 { // each quad is four varints
+		return d.drain()
 	}
 	if nq > 0 {
 		tw.Quads = make([]raster.QuadMeta, nq)
 	}
 	texStart := uint32(0)
 	for i := range tw.Quads {
-		f, e1 := getUint(br, nil)
-		in, e2 := getUint(br, e1)
-		sm, e3 := getUint(br, e2)
-		tc, e4 := getUint(br, e3)
-		if e4 != nil {
-			return e4
-		}
-		tw.Quads[i] = raster.QuadMeta{
-			Fragments: uint8(f),
-			Instr:     uint16(in),
-			Samples:   uint16(sm),
-			TexStart:  texStart,
-			TexCount:  uint16(tc),
-		}
+		q := &tw.Quads[i]
+		q.Fragments = uint8(d.uvarint())
+		q.Instr = uint16(d.uvarint())
+		q.Samples = uint16(d.uvarint())
+		q.TexStart = texStart
+		tc := d.uvarint()
+		q.TexCount = uint16(tc)
 		texStart += uint32(tc)
 	}
-	if tw.TexLines, err = readAddrs(br); err != nil {
+	if d.err != nil {
+		return d.err
+	}
+	var err error
+	if tw.TexLines, err = d.addrs(); err != nil {
 		return err
 	}
 	if int(texStart) != len(tw.TexLines) {
 		return fmt.Errorf("trace: quad tex counts (%d) disagree with stream (%d)", texStart, len(tw.TexLines))
 	}
-	if tw.PBReads, err = readAddrs(br); err != nil {
+	if tw.PBReads, err = d.addrs(); err != nil {
 		return err
 	}
-	if tw.FlushLines, err = readAddrs(br); err != nil {
+	if tw.FlushLines, err = d.addrs(); err != nil {
 		return err
 	}
 	return nil
 }
 
-func readAddrs(br *bufio.Reader) ([]uint64, error) {
-	n, err := getInt(br, nil)
-	if err != nil {
-		return nil, err
+// addrs decodes a delta-encoded address stream (zig-zag varints).
+func (d *decoder) addrs() ([]uint64, error) {
+	n := d.int()
+	if d.err != nil {
+		return nil, d.err
 	}
 	if n < 0 || n > 1<<26 {
 		return nil, fmt.Errorf("trace: implausible address count %d", n)
@@ -206,17 +311,30 @@ func readAddrs(br *bufio.Reader) ([]uint64, error) {
 	if n == 0 {
 		return nil, nil
 	}
+	if n > d.left() { // each address takes at least one byte
+		return nil, d.drain()
+	}
 	out := make([]uint64, n)
 	prev := int64(0)
 	for i := range out {
-		d, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, err
-		}
-		prev += d
+		u := d.uvarint()
+		prev += int64(u>>1) ^ -int64(u&1)
 		out[i] = uint64(prev)
 	}
+	if d.err != nil {
+		return nil, d.err
+	}
 	return out, nil
+}
+
+// drain decodes varints until one fails and returns its error: the error
+// that decoding a declared count of varints too large for the input runs
+// into.
+func (d *decoder) drain() error {
+	for d.err == nil {
+		d.uvarint()
+	}
+	return d.err
 }
 
 // putUvarint emits v byte-by-byte (same wire format as binary.PutUvarint).
@@ -234,16 +352,4 @@ func putUvarint(bw *bufio.Writer, v uint64) {
 // putVarint zig-zag encodes v (same wire format as binary.PutVarint).
 func putVarint(bw *bufio.Writer, v int64) {
 	putUvarint(bw, uint64(v)<<1^uint64(v>>63))
-}
-
-func getUint(br *bufio.Reader, err error) (uint64, error) {
-	if err != nil {
-		return 0, err
-	}
-	return binary.ReadUvarint(br)
-}
-
-func getInt(br *bufio.Reader, err error) (int, error) {
-	v, e := getUint(br, err)
-	return int(v), e
 }
