@@ -186,5 +186,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunRequest -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzTileSignature -fuzztime 15s ./internal/tiling
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 15s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzSpanWalk -fuzztime 15s ./internal/raster
+	$(GO) test -run '^$$' -fuzz FuzzRendererReuse -fuzztime 15s ./internal/raster
 
 ci: build vet fmt lint lint-fix-check test simbench-test race bench bench-gate determinism trace-smoke store-smoke serve-smoke fuzz cover

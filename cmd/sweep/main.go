@@ -69,7 +69,12 @@ func main() {
 	base.CoresPerRU = 4
 	jobs := make([]experiments.Job, len(points))
 	for i, v := range points {
-		jobs[i] = experiments.Job{Cfg: point(base, *axis, v), Game: *game}
+		cfg := point(base, *axis, v)
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "sweep: %s=%d: %v\n", *axis, v, err)
+			os.Exit(2)
+		}
+		jobs[i] = experiments.Job{Cfg: cfg, Game: *game}
 	}
 	summaries := cli.RunAll(jobs)
 	cli.ReportStore()

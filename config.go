@@ -17,6 +17,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/mem/cache"
 	"repro/internal/raster"
 	"repro/internal/sched"
 )
@@ -100,6 +101,7 @@ type Config struct {
 	// L2KB overrides the shared L2 capacity in KiB (default: Table I's
 	// 2048). Scaled-down screens should scale the L2 with screen area so
 	// the cache-to-working-set ratio of the FHD evaluation is preserved.
+	// Validate refuses the values ValidateL2KB does.
 	L2KB int
 
 	// IdealMemory makes every L1 access hit (used to measure the memory
@@ -207,7 +209,29 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("libra: unknown filtering %q", c.Filtering)
 	}
+	return ValidateL2KB(c.L2KB)
+}
+
+// ValidateL2KB reports whether a Config.L2KB value selects a shared L2 that
+// can be built: not negative, and with Table I's line size and
+// associativity a power-of-two set count (576 KiB, for one, is not).
+func ValidateL2KB(kb int) error {
+	if kb < 0 {
+		return fmt.Errorf("libra: negative L2 size %d KiB", kb)
+	}
+	if err := l2Config(core.DefaultConfig(0, 0).L2, kb).Validate(); err != nil {
+		return fmt.Errorf("libra: L2 of %d KiB: %w", kb, err)
+	}
 	return nil
+}
+
+// l2Config is the shared L2 an L2KB value selects: base (Table I's) for 0,
+// else base resized to kb KiB.
+func l2Config(base cache.Config, kb int) cache.Config {
+	if kb > 0 {
+		base.SizeBytes = kb * 1024
+	}
+	return base
 }
 
 // toCore translates the public configuration into the internal GPU config.
@@ -238,9 +262,7 @@ func (c Config) toCore() core.Config {
 	}
 	ad.InitialSupertile = cc.Adaptive.InitialSupertile
 	cc.Adaptive = ad
-	if c.L2KB > 0 {
-		cc.L2.SizeBytes = c.L2KB * 1024
-	}
+	cc.L2 = l2Config(cc.L2, c.L2KB)
 	cc.PrefetchTexture = c.PrefetchTexture
 	switch c.Filtering {
 	case "bilinear":

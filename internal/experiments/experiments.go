@@ -53,8 +53,8 @@ func PaperParams() Params {
 }
 
 // Validate reports the first value no simulation can run with: a frame
-// window of fewer than one frame, a warm-up outside [0, frames), or a
-// negative worker count.
+// window of fewer than one frame, a warm-up outside [0, frames), a
+// negative worker count, or an L2 size libra.ValidateL2KB refuses.
 func (p Params) Validate() error {
 	switch {
 	case p.Frames < 1:
@@ -64,7 +64,7 @@ func (p Params) Validate() error {
 	case p.SimWorkers < 0:
 		return fmt.Errorf("negative sim workers %d", p.SimWorkers)
 	}
-	return nil
+	return libra.ValidateL2KB(p.L2KB)
 }
 
 // TotalCores is the shader-core budget of the headline comparison: the

@@ -105,6 +105,10 @@ func TestParamsValidate(t *testing.T) {
 		{"warmup = frames", with(func(p *Params) { p.Warmup = p.Frames }), false},
 		{"sim-workers -1", with(func(p *Params) { p.SimWorkers = -1 }), false},
 		{"sim-workers 0", with(func(p *Params) { p.SimWorkers = 0 }), true},
+		{"l2kb 0", with(func(p *Params) { p.L2KB = 0 }), true},
+		{"l2kb 512", with(func(p *Params) { p.L2KB = 512 }), true},
+		{"l2kb 576", with(func(p *Params) { p.L2KB = 576 }), false},
+		{"l2kb -5", with(func(p *Params) { p.L2KB = -5 }), false},
 	}
 	for _, tc := range cases {
 		if err := tc.p.Validate(); (err == nil) != tc.ok {

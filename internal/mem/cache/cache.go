@@ -94,6 +94,10 @@ func New(cfg Config) *Cache {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
+// HitLatency returns the access latency of a hit, Config().HitLatency
+// without copying the Config.
+func (c *Cache) HitLatency() int64 { return c.cfg.HitLatency }
+
 // Stats returns the event counters accumulated since the last ResetStats.
 func (c *Cache) Stats() Stats { return c.stats }
 

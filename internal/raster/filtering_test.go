@@ -99,7 +99,7 @@ func TestBilinearStepOnTruncatedChain(t *testing.T) {
 	r.SetFiltering(FilterBilinear)
 	footprint := func(level int) []uint64 {
 		var w TileWork
-		r.sampleFootprint(&w, 0, tex, geom.V2(0.1, 0.1), level)
+		r.sampleFootprint(&w, 0, quadLevels{cur: tex.Level(level)}, geom.V2(0.1, 0.1))
 		return w.TexLines
 	}
 	last := footprint(tex.Levels - 1)

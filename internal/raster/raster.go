@@ -110,9 +110,16 @@ type Renderer struct {
 	filter Filtering
 	zbuf   [tiling.TileSize * tiling.TileSize]float32
 	cbuf   [tiling.TileSize * tiling.TileSize]uint32
-	// levels is rasterPrim's per-quad mip level of each sampled texture,
+	// levels holds rasterPrim's per-quad mip levels of each sampled texture,
 	// kept here so its storage outlives one primitive.
-	levels []int
+	levels []quadLevels
+}
+
+// quadLevels are the stored mip levels one quad's samples of a texture read:
+// cur for the sample itself, next for trilinear filtering's second level
+// (nil when the filter or the mip chain has none).
+type quadLevels struct {
+	cur, next *scene.MipLevel
 }
 
 // NewRenderer builds a tile renderer for the given grid with nearest
@@ -182,6 +189,9 @@ func (r *Renderer) local(x, y int, rect geom.Rect) int {
 type edge struct {
 	A, B, C float32
 	topLeft bool
+	// colAt0 + colPerY*py estimates, in float64, the column whose pixel
+	// center the edge crosses on the row at py (clipRow's seed; A != 0).
+	colAt0, colPerY float64
 }
 
 func makeEdge(ax, ay, bx, by float32) edge {
@@ -196,7 +206,13 @@ func makeEdge(ax, ay, bx, by float32) edge {
 	dy := by - ay
 	dx := bx - ax
 	topLeft := dy < 0 || (dy == 0 && dx < 0)
-	return edge{A: a, B: b, C: c, topLeft: topLeft}
+	e := edge{A: a, B: b, C: c, topLeft: topLeft}
+	if a != 0 {
+		inv := 1 / float64(a)
+		e.colAt0 = -float64(c)*inv - 0.5
+		e.colPerY = -float64(b) * inv
+	}
+	return e
 }
 
 func (e edge) eval(x, y float32) float32 { return e.A*x + e.B*y + e.C }
@@ -206,6 +222,66 @@ func (e edge) inside(v float32) bool {
 		return true
 	}
 	return v == 0 && e.topLeft
+}
+
+// covers reports whether the center of pixel column x on the row whose
+// centers lie at py passes the edge test.
+func (e edge) covers(x int, py float32) bool {
+	return e.inside(e.eval(float32(x)+0.5, py))
+}
+
+// clipRow narrows the column range [lo, hi] of the row at py to the columns
+// whose centers pass the edge test, returning lo > hi when none does.
+//
+// The result is exact, not conservative: along a row eval is monotone in x
+// (each float32 rounding step is monotone, with or without FMA fusion), so
+// covers holds on a suffix of the row when A > 0, on a prefix when A < 0,
+// and everywhere or nowhere when A is zero or NaN. The float64 crossing
+// estimate only seeds the search; the covers steps that follow fix the
+// boundary, and both stay inside [lo, hi] whatever the estimate, so NaN or
+// infinite coordinates cannot send the walk out of the bounding box.
+func (e *edge) clipRow(py float32, lo, hi int) (int, int) {
+	col := e.colAt0 + e.colPerY*float64(py)
+	switch {
+	case e.A > 0:
+		// The first covered column, seeded with ceil(col) in [lo, hi+1].
+		x := lo
+		if col > float64(hi) {
+			x = hi + 1
+		} else if col > float64(lo) {
+			x = int(col)
+			if float64(x) < col {
+				x++
+			}
+		}
+		for x > lo && e.covers(x-1, py) {
+			x--
+		}
+		for x <= hi && !e.covers(x, py) {
+			x++
+		}
+		return x, hi
+	case e.A < 0:
+		// The last covered column, seeded with floor(col) in [lo-1, hi].
+		x := hi
+		if col < float64(lo) {
+			x = lo - 1
+		} else if col < float64(hi) {
+			x = int(col)
+		}
+		for x < hi && e.covers(x+1, py) {
+			x++
+		}
+		for x >= lo && !e.covers(x, py) {
+			x--
+		}
+		return lo, x
+	default:
+		if e.covers(lo, py) {
+			return lo, hi
+		}
+		return lo, lo - 1
+	}
 }
 
 // triangle is the setup of one counter-clockwise triangle: its edge
@@ -218,6 +294,43 @@ type triangle struct {
 	invW          [3]float32
 }
 
+// rowSpan returns the first and last column in [lo, hi] whose pixel center
+// on the row at py passes all three edge tests, with lo > hi when none does
+// (exact, see edge.clipRow).
+func (t *triangle) rowSpan(py float32, lo, hi int) (int, int) {
+	lo, hi = t.e12.clipRow(py, lo, hi)
+	if lo <= hi {
+		lo, hi = t.e20.clipRow(py, lo, hi)
+	}
+	if lo <= hi {
+		lo, hi = t.e01.clipRow(py, lo, hi)
+	}
+	return lo, hi
+}
+
+// persp returns the perspective-correct weights q0, q1, q2 of barycentrics
+// l0, l1, l2 and the inverse of their sum; ok is false where the sum, the
+// perspective denominator, vanishes.
+func (t *triangle) persp(l0, l1, l2 float32) (q0, q1, q2, inv float32, ok bool) {
+	q0 = l0 * t.invW[0]
+	q1 = l1 * t.invW[1]
+	q2 = l2 * t.invW[2]
+	den := q0 + q1 + q2
+	if den == 0 {
+		return 0, 0, 0, 0, false
+	}
+	return q0, q1, q2, 1 / den, true
+}
+
+// uv interpolates the vertex UVs with persp's weights.
+func (t *triangle) uv(q0, q1, q2, inv float32) geom.Vec2 {
+	v0, v1, v2 := t.v[0], t.v[1], t.v[2]
+	return geom.V2(
+		(q0*v0.UV.X+q1*v1.UV.X+q2*v2.UV.X)*inv,
+		(q0*v0.UV.Y+q1*v1.UV.Y+q2*v2.UV.Y)*inv,
+	)
+}
+
 // interp interpolates depth, UV and color at the pixel center whose edge
 // values are ev12, ev20 and ev01 (the values the coverage test computed),
 // perspective-correct for UV and color. ok is false where the perspective
@@ -228,30 +341,30 @@ func (t *triangle) interp(ev12, ev20, ev01 float32) (z float32, uv geom.Vec2, co
 	l1 := ev20 * t.invArea
 	l2 := ev01 * t.invArea
 	z = l0*v0.Pos.Z + l1*v1.Pos.Z + l2*v2.Pos.Z
-	q0 := l0 * t.invW[0]
-	q1 := l1 * t.invW[1]
-	q2 := l2 * t.invW[2]
-	den := q0 + q1 + q2
-	if den == 0 {
+	q0, q1, q2, inv, ok := t.persp(l0, l1, l2)
+	if !ok {
 		return 0, geom.Vec2{}, geom.Vec3{}, false
 	}
-	inv := 1 / den
-	uv = geom.V2(
-		(q0*v0.UV.X+q1*v1.UV.X+q2*v2.UV.X)*inv,
-		(q0*v0.UV.Y+q1*v1.UV.Y+q2*v2.UV.Y)*inv,
-	)
 	col = geom.V3(
 		(q0*v0.Color.X+q1*v1.Color.X+q2*v2.Color.X)*inv,
 		(q0*v0.Color.Y+q1*v1.Color.Y+q2*v2.Color.Y)*inv,
 		(q0*v0.Color.Z+q1*v1.Color.Z+q2*v2.Color.Z)*inv,
 	)
-	return z, uv, col, true
+	return z, t.uv(q0, q1, q2, inv), col, true
 }
 
-// uvAt is the interpolated UV at pixel center (px, py); ok as for interp.
+// uvAt is the interpolated UV at pixel center (px, py), with no depth or
+// color; ok as for interp.
 func (t *triangle) uvAt(px, py float32) (uv geom.Vec2, ok bool) {
-	_, uv, _, ok = t.interp(t.e12.eval(px, py), t.e20.eval(px, py), t.e01.eval(px, py))
-	return uv, ok
+	q0, q1, q2, inv, ok := t.persp(
+		t.e12.eval(px, py)*t.invArea,
+		t.e20.eval(px, py)*t.invArea,
+		t.e01.eval(px, py)*t.invArea,
+	)
+	if !ok {
+		return geom.Vec2{}, false
+	}
+	return t.uv(q0, q1, q2, inv), true
 }
 
 // rasterPrim rasterizes one triangle into the tile, quad by quad.
@@ -278,7 +391,7 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 	if b.Empty() {
 		return
 	}
-	qx0, qy0 := b.MinX&^1, b.MinY&^1
+	qy0 := b.MinY &^ 1
 	t := triangle{
 		e12:     makeEdge(v1.Pos.X, v1.Pos.Y, v2.Pos.X, v2.Pos.Y),
 		e20:     makeEdge(v2.Pos.X, v2.Pos.Y, v0.Pos.X, v0.Pos.Y),
@@ -291,16 +404,31 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 	perFragInstr := mat.Program.InstructionsPerInvocation()
 	nTex := mat.Program.TexSamples
 	earlyZ := !mat.ForceLateZ
-	// Sample s2 reads texture s2 % len(mat.Textures); the quad's mip level
-	// of each texture that some sample reads is levels[i].
+	// The quad's mip levels of each texture that some sample reads are
+	// levels[i].
 	nLevels := min(nTex, len(mat.Textures))
 	if cap(r.levels) < nLevels {
-		r.levels = make([]int, nLevels)
+		r.levels = make([]quadLevels, nLevels)
 	}
 	levels := r.levels[:nLevels]
 
+	// Each quad row visits only the quads holding a covered pixel center:
+	// span[i] is the exact covered column range of pixel row qy+i, empty
+	// (lo > hi) for a row outside the bounding box.
+	var span [2][2]int
 	for qy := qy0; qy <= b.MaxY; qy += 2 {
-		for qx := qx0; qx <= b.MaxX; qx += 2 {
+		qxLo, qxHi := b.MaxX+1, b.MinX-1
+		for i := range span {
+			lo, hi := b.MinX, b.MinX-1
+			if y := qy + i; y >= b.MinY && y <= b.MaxY {
+				lo, hi = t.rowSpan(float32(y)+0.5, b.MinX, b.MaxX)
+			}
+			if lo <= hi {
+				qxLo, qxHi = min(qxLo, lo), max(qxHi, hi)
+			}
+			span[i] = [2]int{lo, hi}
+		}
+		for qx := qxLo &^ 1; qx <= qxHi; qx += 2 {
 			// The quad's UV derivatives, and from them its mip levels, are
 			// taken at its first textured fragment. Until they are known
 			// (the perspective denominator can vanish at the neighbouring
@@ -315,7 +443,7 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 			for s := 0; s < 4; s++ {
 				x := qx + (s & 1)
 				y := qy + (s >> 1)
-				if x < b.MinX || x > b.MaxX || y < b.MinY || y > b.MaxY {
+				if row := &span[s>>1]; x < row[0] || x > row[1] {
 					continue
 				}
 				px, py := float32(x)+0.5, float32(y)+0.5
@@ -353,16 +481,23 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 						}
 						for i := range levels {
 							tex := mat.Textures[i]
-							levels[i] = mipLevel(duvx, duvy, tex.W, tex.H)
+							l := mipLevel(duvx, duvy, tex.W, tex.H)
+							levels[i].cur = tex.Level(l)
+							levels[i].next = nil
+							if r.filter == FilterTrilinear && l+1 < tex.Levels {
+								levels[i].next = tex.Level(l + 1)
+							}
 						}
 					}
+					// Sample s2 reads texture s2 % len(mat.Textures); the
+					// first one's texel colors the fragment.
 					quad.Samples += uint16(nTex)
-					for s2 := 0; s2 < nTex; s2++ {
-						i := s2 % len(mat.Textures)
-						addr := r.sampleFootprint(w, texBefore, mat.Textures[i], uv, levels[i])
-						if s2 == 0 {
-							texel = sampleColor(mat.Textures[i].ID, addr)
+					texel = sampleColor(mat.Textures[0].ID, r.sampleFootprint(w, texBefore, levels[0], uv))
+					for s2, i := 1, 1; s2 < nTex; s2, i = s2+1, i+1 {
+						if i == len(levels) {
+							i = 0
 						}
+						r.sampleFootprint(w, texBefore, levels[i], uv)
 					}
 				} else {
 					texel = geom.V3(1, 1, 1)
@@ -387,22 +522,20 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 }
 
 // sampleFootprint emits the texel-line accesses of one filtered texture
-// sample at (uv, level) into the tile work and returns the base texel
-// address (used for the procedural color). The bilinear neighbours are one
-// texel apart in the level the sample actually reads, tex.ClampLevel(level).
-func (r *Renderer) sampleFootprint(w *TileWork, texBefore int, tex *scene.Texture, uv geom.Vec2, level int) uint64 {
-	base := tex.TexelAddr(uv.X, uv.Y, level)
+// sample at uv in the quad's levels lv into the tile work and returns the
+// base texel address (used for the procedural color). The bilinear
+// neighbours are one texel apart in the level the sample reads.
+func (r *Renderer) sampleFootprint(w *TileWork, texBefore int, lv quadLevels, uv geom.Vec2) uint64 {
+	cur := lv.cur
+	base := cur.TexelAddr(uv.X, uv.Y)
 	appendUniqueLine(&w.TexLines, texBefore, base&^63)
 	if r.filter >= FilterBilinear {
-		lw, lh := tex.LevelDims(tex.ClampLevel(level))
-		du := 1 / float32(lw)
-		dv := 1 / float32(lh)
-		appendUniqueLine(&w.TexLines, texBefore, tex.TexelAddr(uv.X+du, uv.Y, level)&^63)
-		appendUniqueLine(&w.TexLines, texBefore, tex.TexelAddr(uv.X, uv.Y+dv, level)&^63)
-		appendUniqueLine(&w.TexLines, texBefore, tex.TexelAddr(uv.X+du, uv.Y+dv, level)&^63)
+		appendUniqueLine(&w.TexLines, texBefore, cur.TexelAddr(uv.X+cur.DU, uv.Y)&^63)
+		appendUniqueLine(&w.TexLines, texBefore, cur.TexelAddr(uv.X, uv.Y+cur.DV)&^63)
+		appendUniqueLine(&w.TexLines, texBefore, cur.TexelAddr(uv.X+cur.DU, uv.Y+cur.DV)&^63)
 	}
-	if r.filter == FilterTrilinear && level+1 < tex.Levels {
-		appendUniqueLine(&w.TexLines, texBefore, tex.TexelAddr(uv.X, uv.Y, level+1)&^63)
+	if lv.next != nil {
+		appendUniqueLine(&w.TexLines, texBefore, lv.next.TexelAddr(uv.X, uv.Y)&^63)
 	}
 	return base
 }
@@ -455,11 +588,19 @@ func sampleColor(texID int, addr uint64) geom.Vec3 {
 	h ^= h >> 31
 	h *= 0x94D049BB133111EB
 	h ^= h >> 29
-	r := float32(h&0xFF) / 255
-	g := float32((h>>8)&0xFF) / 255
-	b := float32((h>>16)&0xFF) / 255
-	return geom.V3(0.25+0.75*r, 0.25+0.75*g, 0.25+0.75*b)
+	return geom.V3(texel8[h&0xFF], texel8[(h>>8)&0xFF], texel8[(h>>16)&0xFF])
 }
+
+// unit8 maps a color channel byte i to float32(i)/255, the division
+// unpackColor would otherwise repeat for every channel, and texel8 maps it
+// to sampleColor's channel value 0.25 + 0.75·unit8[i].
+var unit8, texel8 = func() (unit, texel [256]float32) {
+	for i := range unit {
+		unit[i] = float32(i) / 255
+		texel[i] = 0.25 + 0.75*unit[i]
+	}
+	return unit, texel
+}()
 
 // blendPixel combines a shaded color with the Color Buffer contents.
 func blendPixel(mode scene.BlendMode, dst uint32, src geom.Vec3) uint32 {
@@ -492,9 +633,5 @@ func packColor(c geom.Vec3) uint32 {
 }
 
 func unpackColor(p uint32) geom.Vec3 {
-	return geom.V3(
-		float32((p>>16)&0xFF)/255,
-		float32((p>>8)&0xFF)/255,
-		float32(p&0xFF)/255,
-	)
+	return geom.V3(unit8[(p>>16)&0xFF], unit8[(p>>8)&0xFF], unit8[p&0xFF])
 }

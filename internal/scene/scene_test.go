@@ -72,7 +72,7 @@ func TestTexturePanicsOnBadDims(t *testing.T) {
 func TestTexelAddrInRange(t *testing.T) {
 	tx := NewTexture(0, 64, 64, 0x1000, 0)
 	f := func(u, v float32, l uint8) bool {
-		a := tx.TexelAddr(u, v, int(l%8))
+		a := tx.Level(int(l%8)).TexelAddr(u, v)
 		return a >= tx.Base && a < tx.Base+tx.SizeBytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -83,13 +83,13 @@ func TestTexelAddrInRange(t *testing.T) {
 func TestTexelAddrSpatialLocality(t *testing.T) {
 	tx := NewTexture(0, 64, 64, 0, 0)
 	// Adjacent texels inside one 4x4 block share a cache line.
-	a := tx.TexelAddr(0.01, 0.01, 0) // texel (0,0)
-	b := tx.TexelAddr(0.03, 0.03, 0) // texel (1,1) – wait, 0.03*64 = 1.9 -> texel 1
+	a := tx.Level(0).TexelAddr(0.01, 0.01) // texel (0,0)
+	b := tx.Level(0).TexelAddr(0.03, 0.03) // texel (1,1) – wait, 0.03*64 = 1.9 -> texel 1
 	if a/64 != b/64 {
 		t.Errorf("texels in the same block should share a line: %#x vs %#x", a, b)
 	}
 	// Distinct blocks get distinct lines.
-	c := tx.TexelAddr(0.5, 0.5, 0)
+	c := tx.Level(0).TexelAddr(0.5, 0.5)
 	if a/64 == c/64 {
 		t.Error("distant texels should not share a line")
 	}
@@ -97,8 +97,8 @@ func TestTexelAddrSpatialLocality(t *testing.T) {
 
 func TestTexelAddrWraps(t *testing.T) {
 	tx := NewTexture(0, 64, 64, 0, 0)
-	a := tx.TexelAddr(0.25, 0.25, 0)
-	b := tx.TexelAddr(1.25, -0.75, 0)
+	a := tx.Level(0).TexelAddr(0.25, 0.25)
+	b := tx.Level(0).TexelAddr(1.25, -0.75)
 	if a != b {
 		t.Errorf("repeat addressing should wrap: %#x vs %#x", a, b)
 	}
@@ -106,8 +106,8 @@ func TestTexelAddrWraps(t *testing.T) {
 
 func TestTexelAddrClampsLevel(t *testing.T) {
 	tx := NewTexture(0, 16, 16, 0, 0)
-	lo := tx.TexelAddr(0.5, 0.5, -3)
-	hi := tx.TexelAddr(0.5, 0.5, 99)
+	lo := tx.Level(-3).TexelAddr(0.5, 0.5)
+	hi := tx.Level(99).TexelAddr(0.5, 0.5)
 	if lo < tx.Base || hi >= tx.Base+tx.SizeBytes() {
 		t.Error("clamped levels out of range")
 	}

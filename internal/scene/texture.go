@@ -25,8 +25,21 @@ type Texture struct {
 	Levels int    // mip levels (1 = no mipmapping)
 	Base   uint64 // start address in the texture region
 
-	levelOffset []uint64 // byte offset of each mip level from Base
-	totalBytes  uint64
+	levels     []MipLevel // addressing of each stored level, built once
+	totalBytes uint64
+}
+
+// MipLevel is the addressing of one stored mip level, derived once by
+// NewTexture so that a texel lookup reads it instead of re-deriving the
+// level's dimensions, block row width and offset for every sample.
+type MipLevel struct {
+	Addr uint64 // byte address of the level's first texel
+	W, H int    // dimensions in texels
+	// DU and DV are one texel's extent in normalized coordinates, 1/W and
+	// 1/H: the offsets of a bilinear footprint's neighbours.
+	DU, DV       float32
+	fw, fh       float32 // W and H as float32
+	blocksPerRow int
 }
 
 // NewTexture lays out a texture with a full mip chain down to 1×1 (or fewer
@@ -42,9 +55,16 @@ func NewTexture(id, w, h int, base uint64, maxLevels int) *Texture {
 	}
 	t.Levels = levels
 	off := uint64(0)
-	for l := 0; l < levels; l++ {
-		t.levelOffset = append(t.levelOffset, off)
+	t.levels = make([]MipLevel, levels)
+	for l := range t.levels {
 		lw, lh := t.LevelDims(l)
+		fw, fh := float32(lw), float32(lh)
+		t.levels[l] = MipLevel{
+			Addr: base + off, W: lw, H: lh,
+			DU: 1 / fw, DV: 1 / fh,
+			fw: fw, fh: fh,
+			blocksPerRow: max(1, lw/BlockDim),
+		}
 		off += uint64(lw*lh) * TexelBytes
 	}
 	t.totalBytes = off
@@ -68,36 +88,45 @@ func (t *Texture) ClampLevel(l int) int {
 	return min(max(l, 0), t.Levels-1)
 }
 
+// Level returns the stored level that a sample at level l reads, level
+// ClampLevel(l).
+func (t *Texture) Level(l int) *MipLevel {
+	return &t.levels[t.ClampLevel(l)]
+}
+
 // TexelAddr returns the byte address of the texel at normalized coordinates
-// (u, v) in mip level ClampLevel(l), using the blocked (tiled) layout.
-// Coordinates wrap (repeat addressing), matching common game usage.
-func (t *Texture) TexelAddr(u, v float32, l int) uint64 {
-	l = t.ClampLevel(l)
-	w, h := t.LevelDims(l)
-	// Repeat wrap into [0,1).
-	u -= float32(int(u))
-	if u < 0 {
-		u += 1
-	}
-	v -= float32(int(v))
-	if v < 0 {
-		v += 1
-	}
-	x := int(u * float32(w))
-	y := int(v * float32(h))
-	if x >= w {
-		x = w - 1
-	}
-	if y >= h {
-		y = h - 1
-	}
+// (u, v) in this level, using the blocked (tiled) layout. Coordinates wrap
+// (repeat addressing), matching common game usage.
+func (m *MipLevel) TexelAddr(u, v float32) uint64 {
+	x := wrap(u, m.fw, m.W)
+	y := wrap(v, m.fh, m.H)
 	// Blocked layout: blocks of BlockDim×BlockDim texels are contiguous.
-	blocksPerRow := max(1, w/BlockDim)
 	bx, by := x/BlockDim, y/BlockDim
 	inX, inY := x%BlockDim, y%BlockDim
-	blockIndex := by*blocksPerRow + bx
+	blockIndex := by*m.blocksPerRow + bx
 	texelIndex := blockIndex*(BlockDim*BlockDim) + inY*BlockDim + inX
-	return t.Base + t.levelOffset[l] + uint64(texelIndex)*TexelBytes
+	return m.Addr + uint64(texelIndex)*TexelBytes
+}
+
+// wrap returns the texel index of normalized coordinate c along a level
+// side of n texels (fn = float32(n), a power of two) under repeat
+// addressing: c's fraction f = c - float32(int(c)), plus 1 when negative,
+// times fn, truncated and clamped to n-1.
+//
+// For 0 ≤ c < 2^23 the same index is int(c·fn) mod n: int(c) is c's
+// integer part k, c - k is exact, and c·fn is exact, so int(c·fn) is
+// k·n + int(f·fn) with int(f·fn) < n. Everywhere else (negative c, whose
+// f + 1 rounds, and large, infinite or NaN c) the float32 steps run as
+// written.
+func wrap(c, fn float32, n int) int {
+	if c >= 0 && c < 1<<23 {
+		return int(c*fn) & (n - 1)
+	}
+	c -= float32(int(c))
+	if c < 0 {
+		c += 1
+	}
+	return min(int(c*fn), n-1)
 }
 
 // TextureAllocator hands out non-overlapping texture address ranges within

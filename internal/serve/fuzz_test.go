@@ -21,6 +21,8 @@ func FuzzDecodeRunRequest(f *testing.F) {
 	f.Add([]byte(`{"game":"Jet","warmup":-7}`))
 	f.Add([]byte(`{"game":"Jet","config":{"ScreenW":-5,"ScreenH":1e9}}`))
 	f.Add([]byte(`{"game":"Jet","config":{"SupertileSize":3}}`))
+	f.Add([]byte(`{"game":"Jet","config":{"L2KB":576}}`))
+	f.Add([]byte(`{"game":"Jet","config":{"L2KB":3}}`))
 	f.Add([]byte(`{"game":"x","config":null}`))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {

@@ -127,6 +127,8 @@ func TestRunRejectsMalformed(t *testing.T) {
 		{"huge screen", `{"game":"Jet","config":{"ScreenW":8192,"ScreenH":64}}`, http.StatusBadRequest},
 		{"huge fleet", `{"game":"Jet","config":{"RasterUnits":1000}}`, http.StatusBadRequest},
 		{"bad policy", `{"game":"Jet","config":{"Policy":"nope"}}`, http.StatusBadRequest},
+		{"l2 set count not a power of two", `{"game":"Jet","config":{"L2KB":576}}`, http.StatusBadRequest},
+		{"tiny l2", `{"game":"Jet","config":{"L2KB":3}}`, http.StatusBadRequest},
 		{"oversized body", `{"game":"Jet","config":{"Filtering":"` + strings.Repeat("x", MaxRequestBody) + `"}}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {

@@ -222,9 +222,14 @@ type rasterUnit struct {
 	now      int64
 	coreFree []int64
 	rings    []warpRing
-	rr       int
-	feClock  float64 // rasterizer front-end availability (absolute cycles)
-	feStep   float64 // front-end occupancy per quad for the current tile
+	// core is the shader core that takes the RU's next quad, and inBlock
+	// how many quads of its current QuadBlock it has taken: the frame's
+	// rr-th quad goes to core (rr/QuadBlock)%CoresPerRU, stepped here
+	// without dividing.
+	core    int
+	inBlock int
+	feClock float64 // rasterizer front-end availability (absolute cycles)
+	feStep  float64 // front-end occupancy per quad for the current tile
 
 	// work points at the tile currently being replayed: the RU's own
 	// scratch in the serial rendering path, or the caller's Works entry in
@@ -367,7 +372,7 @@ func (e *Engine) RunRaster(in FrameInput) FrameOutput {
 		ru.done = false
 		ru.tileActive = false
 		ru.quadIdx = 0
-		ru.rr = 0
+		ru.core, ru.inBlock = 0, 0
 		ru.stats = RUStats{StartCycle: in.StartCycle}
 		for c := range ru.coreFree {
 			ru.coreFree[c] = in.StartCycle
@@ -494,67 +499,83 @@ func (e *Engine) beginTile(ru *rasterUnit, in FrameInput, tile int) {
 }
 
 // processBatch replays up to BatchQuads quads of the current tile against
-// the memory system, then yields to the engine's global ordering.
+// the memory system, then yields to the engine's global ordering. The RU's
+// per-quad state lives in locals for the batch and is stored back once.
 func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
-	quads := ru.work.Quads
-	limit := ru.quadIdx + e.cfg.BatchQuads
-	if limit > len(quads) {
-		limit = len(quads)
-	}
+	cfg := &e.cfg
+	work := ru.work
+	quads := work.Quads
+	qi := ru.quadIdx
+	limit := min(qi+cfg.BatchQuads, len(quads))
+	core, inBlock := ru.core, ru.inBlock
+	feClock, feStep := ru.feClock, ru.feStep
+	tileEnd := ru.tileEnd
+	var texAccesses, lineAccesses, texMisses, latencySum, instructions uint64
+	var computeCycles int64
+	fragments := 0
 	dram := 0
-	for ; ru.quadIdx < limit; ru.quadIdx++ {
-		q := quads[ru.quadIdx]
-		c := (ru.rr / e.cfg.QuadBlock) % e.cfg.CoresPerRU
-		ru.rr++
+	for ; qi < limit; qi++ {
+		q := &quads[qi]
+		c := core
+		if inBlock++; inBlock == cfg.QuadBlock {
+			inBlock = 0
+			if core++; core == cfg.CoresPerRU {
+				core = 0
+			}
+		}
 
 		start := ru.coreFree[c]
-		if ru.rings[c].n >= e.cfg.WarpsPerCore {
-			oldest := ru.rings[c].pop()
-			if oldest > start {
+		ring := &ru.rings[c]
+		if ring.n >= cfg.WarpsPerCore {
+			if oldest := ring.pop(); oldest > start {
 				start = oldest
 			}
 		}
 		// The quad cannot start before the RU's rasterizer front-end has
 		// produced it.
-		ru.feClock += ru.feStep
-		if fe := int64(ru.feClock); fe > start {
+		feClock += feStep
+		if fe := int64(feClock); fe > start {
 			start = fe
 		}
 		var maxLat int64
-		ru.stats.TexAccesses += uint64(q.Samples)
-		for _, line := range ru.work.TexLines[q.TexStart : q.TexStart+uint32(q.TexCount)] {
-			res := e.hier.AccessThroughL1(ru.texL1[c], start, line, false)
-			ru.stats.TexLineAccesses++
+		texAccesses += uint64(q.Samples)
+		l1 := ru.texL1[c]
+		for _, line := range work.TexLines[q.TexStart : q.TexStart+uint32(q.TexCount)] {
+			res := e.hier.AccessThroughL1(l1, start, line, false)
 			if res.Level != mem.LevelL1 {
-				ru.stats.TexMisses++
+				texMisses++
 			}
-			ru.stats.TexLatencySum += uint64(res.Latency)
+			latencySum += uint64(res.Latency)
 			dram += res.DRAMAccesses
-			if res.Latency > maxLat {
-				maxLat = res.Latency
-			}
+			maxLat = max(maxLat, res.Latency)
 		}
+		lineAccesses += uint64(q.TexCount)
 
-		compute := int64(float64(q.Instr) / e.cfg.IPC)
-		if compute < 1 {
-			compute = 1
-		}
-		ru.stats.ComputeCycles += compute
-		ru.coreFree[c] = start + compute
-		complete := start + maxLat
-		if ru.coreFree[c] > complete {
-			complete = ru.coreFree[c]
-		}
-		ru.rings[c].push(complete)
-		if complete > ru.tileEnd {
-			ru.tileEnd = complete
-		}
-		ru.stats.Quads++
-		ru.stats.Fragments += int(q.Fragments)
-		ru.stats.Instructions += uint64(q.Instr)
+		compute := max(int64(float64(q.Instr)/cfg.IPC), 1)
+		computeCycles += compute
+		free := start + compute
+		ru.coreFree[c] = free
+		complete := max(start+maxLat, free)
+		ring.push(complete)
+		tileEnd = max(tileEnd, complete)
+		fragments += int(q.Fragments)
+		instructions += uint64(q.Instr)
 	}
+	st := &ru.stats
+	st.Quads += qi - ru.quadIdx
+	st.Fragments += fragments
+	st.Instructions += instructions
+	st.TexAccesses += texAccesses
+	st.TexLineAccesses += lineAccesses
+	st.TexMisses += texMisses
+	st.TexLatencySum += latencySum
+	st.ComputeCycles += computeCycles
+	ru.quadIdx = qi
+	ru.core, ru.inBlock = core, inBlock
+	ru.feClock = feClock
+	ru.tileEnd = tileEnd
 
-	if ru.quadIdx >= len(quads) {
+	if qi >= len(quads) {
 		e.finishTile(ru, in, dram)
 		return
 	}
@@ -568,7 +589,7 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 	ru.stats.DRAMAccesses += dram
 	ru.tileDRAM += dram
 	if in.TileStats != nil {
-		in.TileStats.AddDRAM(ru.work.TileID, dram)
+		in.TileStats.AddDRAM(work.TileID, dram)
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 
 // FuzzTraceRead checks Read against oracleRead, the bufio-based decoder it
 // replaced: on every input both return deep-equal traces, or both fail with
-// the same error text.
+// the same error text. Every trace Read accepts must also survive a Write
+// and Read round trip deep-equal: a field Read stored truncated would not.
 func FuzzTraceRead(f *testing.F) {
 	for seed := int64(0); seed < 3; seed++ {
 		var buf bytes.Buffer
@@ -35,8 +36,22 @@ func FuzzTraceRead(f *testing.F) {
 		if errText(err) != errText(werr) {
 			t.Fatalf("Read error %v, oracle %v", err, werr)
 		}
-		if err == nil && !reflect.DeepEqual(got, want) {
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Read decoded %+v, oracle %+v", got, want)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, got); err != nil {
+			t.Fatalf("Write of an accepted trace: %v", err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-reading an accepted trace: %v", err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", again, got)
 		}
 	})
 }
@@ -112,6 +127,9 @@ func oracleTile(br *bufio.Reader, tw *raster.TileWork) error {
 		tc, e4 := oracleUint(br, e3)
 		if e4 != nil {
 			return e4
+		}
+		if f > 255 || in > 65535 || sm > 65535 || tc > 65535 {
+			return quadFieldsError(i, f, in, sm, tc)
 		}
 		tw.Quads = append(tw.Quads, raster.QuadMeta{
 			Fragments: uint8(f),

@@ -105,7 +105,8 @@ func writeAddrs(bw *bufio.Writer, addrs []uint64) {
 
 // Read deserializes a trace written by Write. It decodes the varints by
 // index out of a pooled window onto r, which it refills as the decoding
-// reaches its end.
+// reaches its end. A quad field wider than its raster.QuadMeta field is an
+// error, not a truncated value.
 func Read(r io.Reader) (*FrameTrace, error) {
 	d := decoderPool.Get().(*decoder)
 	d.reset(r)
@@ -249,6 +250,30 @@ var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 func (d *decoder) int() int { return int(d.uvarint()) }
 
+// quadFits reports whether a quad's decoded fields fit raster.QuadMeta's: a
+// fragment count up to 255, and instruction, sample and texture-line counts
+// up to 65535.
+func quadFits(fragments, instr, samples, texCount uint64) bool {
+	return fragments <= math.MaxUint8 && max(instr, samples, texCount) <= math.MaxUint16
+}
+
+// quadError is the error of a tile's quad i whose fields quadFits refuses:
+// the decoding error met while reading them, if any (the reads after an
+// error return 0), else quadFieldsError.
+func (d *decoder) quadError(i int, fragments, instr, samples, texCount uint64) error {
+	if d.err != nil {
+		return d.err
+	}
+	return quadFieldsError(i, fragments, instr, samples, texCount)
+}
+
+// quadFieldsError is Read's error for quad i of a tile whose fields do not
+// fit raster.QuadMeta's.
+func quadFieldsError(i int, fragments, instr, samples, texCount uint64) error {
+	return fmt.Errorf("trace: quad %d fields (fragments %d, instructions %d, samples %d, texture lines %d) overflow raster.QuadMeta",
+		i, fragments, instr, samples, texCount)
+}
+
 func (d *decoder) tile(tw *raster.TileWork) error {
 	tw.TileID = d.int()
 	tw.Primitives = d.int()
@@ -263,21 +288,28 @@ func (d *decoder) tile(tw *raster.TileWork) error {
 	if nq < 0 || nq > 1<<24 {
 		return fmt.Errorf("trace: implausible quad count %d", nq)
 	}
-	if nq > d.left()/4 { // each quad is four varints
-		return d.drain()
+	if nq > d.left()/4 {
+		// Each quad is four varints, so the input ends before the quads
+		// do, unless one of the quads it holds overflows first.
+		for i := 0; d.err == nil; i++ {
+			if f, in, sm, tc := d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint(); !quadFits(f, in, sm, tc) {
+				return d.quadError(i, f, in, sm, tc)
+			}
+		}
+		return d.err
 	}
 	if nq > 0 {
 		tw.Quads = make([]raster.QuadMeta, nq)
 	}
 	texStart := uint32(0)
 	for i := range tw.Quads {
+		f, in, sm, tc := d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
+		if !quadFits(f, in, sm, tc) {
+			return d.quadError(i, f, in, sm, tc)
+		}
 		q := &tw.Quads[i]
-		q.Fragments = uint8(d.uvarint())
-		q.Instr = uint16(d.uvarint())
-		q.Samples = uint16(d.uvarint())
-		q.TexStart = texStart
-		tc := d.uvarint()
-		q.TexCount = uint16(tc)
+		q.Fragments, q.Instr, q.Samples = uint8(f), uint16(in), uint16(sm)
+		q.TexStart, q.TexCount = texStart, uint16(tc)
 		texStart += uint32(tc)
 	}
 	if d.err != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -121,5 +122,53 @@ func TestCompression(t *testing.T) {
 	}
 	if addrs > 0 && buf.Len() > addrs*8 {
 		t.Errorf("trace too large: %d bytes for %d addresses", buf.Len(), addrs)
+	}
+}
+
+// quadTrace encodes a one-tile trace by hand whose single quad carries the
+// given field values and texCount texture lines, so a field can exceed what
+// Write's raster.QuadMeta could hold.
+func quadTrace(fragments, instr, samples, texCount uint64) []byte {
+	b := append([]byte(magic), version)
+	for _, v := range []uint64{64, 64, 1, 0, 1, instr, fragments, 0, fragments, 1, fragments, instr, samples, texCount, texCount} {
+		b = binary.AppendUvarint(b, v)
+	}
+	for i := uint64(0); i < texCount; i++ {
+		b = binary.AppendVarint(b, 64) // line deltas
+	}
+	return append(b, 0, 0) // no Parameter Buffer reads, no flush lines
+}
+
+// TestReadRefusesOverwideQuadFields checks that Read refuses a quad field
+// wider than raster.QuadMeta's instead of storing it truncated, and still
+// accepts each field at its maximum.
+func TestReadRefusesOverwideQuadFields(t *testing.T) {
+	cases := []struct {
+		name                             string
+		fragments, instr, samples, lines uint64
+		ok                               bool
+	}{
+		{"at the limits", 255, 65535, 65535, 65535, true},
+		{"fragments", 256, 4, 1, 1, false},
+		{"instructions", 4, 65536, 1, 1, false},
+		{"samples", 4, 4, 65536, 1, false},
+		{"texture lines", 4, 4, 1, 65536, false},
+	}
+	for _, tc := range cases {
+		ft, err := Read(bytes.NewReader(quadTrace(tc.fragments, tc.instr, tc.samples, tc.lines)))
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "overflow raster.QuadMeta") {
+				t.Errorf("%s: Read = %v, want an overflow error", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: Read: %v", tc.name, err)
+		}
+		q := ft.Tiles[0].Quads[0]
+		if uint64(q.Fragments) != tc.fragments || uint64(q.Instr) != tc.instr ||
+			uint64(q.Samples) != tc.samples || uint64(q.TexCount) != tc.lines {
+			t.Errorf("%s: decoded %+v", tc.name, q)
+		}
 	}
 }

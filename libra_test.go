@@ -19,10 +19,22 @@ func TestConfigValidate(t *testing.T) {
 		{ScreenW: 100, ScreenH: 100, RasterUnits: 0, CoresPerRU: 1},
 		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, Policy: "bogus"},
 		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, SupertileSize: 3},
+		// L2 sizes no cache can be built from: a set count that is not a
+		// power of two (576 KiB, 3 KiB), and a negative size.
+		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, L2KB: 576},
+		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, L2KB: 3},
+		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, L2KB: -5},
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+	for _, kb := range []int{0, 256, 512, 1024, 2048, 64 * 1024} {
+		cfg := DefaultConfig(tw, th)
+		cfg.L2KB = kb
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("L2KB %d refused: %v", kb, err)
 		}
 	}
 }
