@@ -30,8 +30,7 @@ func main() {
 	)
 	cli.ParseCommandLine()
 
-	cfg := libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH)
-	cfg.L2KB = cli.P.L2KB
+	cfg := cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH))
 	run, err := libra.NewRun(cfg, *game)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

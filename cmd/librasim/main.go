@@ -9,6 +9,7 @@
 //	librasim -experiment fig11              # reproduce one figure
 //	librasim -experiment all                # reproduce every figure/table
 //	librasim -experiment fig11 -paper       # full FHD/25-frame scale (slow)
+//	librasim -experiment fig11 -w 320 -h 192 -frames 6 -l2kb 256  # reduced scale
 //	librasim -experiment all -result-dir ~/.libra  # persist/recall results
 package main
 
@@ -30,7 +31,8 @@ func main() {
 	// the process mid-frame.
 	cli := experiments.NewCLI(context.Background(), "librasim", experiments.DefaultParams())
 	cli.RegisterFlags(flag.CommandLine)
-	flag.IntVar(&cli.P.Frames, "frames", 10, "frames to render")
+	// Given with -experiment, each scale flag overrides the experiment scale.
+	flag.IntVar(&cli.P.Frames, "frames", 10, "frames to render (-experiment: 12, or 25 with -paper)")
 	flag.IntVar(&cli.P.ScreenW, "w", cli.P.ScreenW, "screen width")
 	flag.IntVar(&cli.P.ScreenH, "h", cli.P.ScreenH, "screen height")
 	flag.IntVar(&cli.P.L2KB, "l2kb", cli.P.L2KB, "shared L2 size in KiB (0 = Table I 2MB)")
@@ -55,26 +57,53 @@ func main() {
 	case *list:
 		printSuite()
 	case *experiment != "":
-		// Experiments run at the standard (or the paper's) scale; only the
-		// host flags carry over from the command line.
-		p := experiments.DefaultParams()
-		if *paper {
-			p = experiments.PaperParams()
-		}
-		p.SimWorkers, p.RenderElim = cli.P.SimWorkers, cli.P.RenderElim
-		cli.P = p
+		cli.P = experimentParams(cli.P, *paper)
+		// Every configuration an experiment runs has this screen and L2.
+		refuse(cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH)).Validate())
 		runExperiments(cli, *experiment, *format, *traceOut, *metricsOut)
 	case *game != "":
-		cfg := libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH)
+		cfg := cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH))
 		cfg.RasterUnits = *rus
 		cfg.CoresPerRU = *cores
 		cfg.Policy = libra.Policy(*policy)
-		cfg.L2KB = cli.P.L2KB
-		cfg.SimWorkers = cli.P.SimWorkers
-		cfg.RenderElim = cli.P.RenderElim
+		refuse(cfg.Validate())
 		singleRun(cli, cfg, *game, *heat, *jsonOut, *screenshot, *traceOut, *metricsOut)
 	default:
 		flag.Usage()
+		os.Exit(2)
+	}
+}
+
+// experimentParams returns the scale of an -experiment run: the standard
+// one (the paper's with -paper), with each of -w, -h, -frames and -l2kb
+// given on the command line taking its value from given. A given -frames
+// brings the warm-up Parse gave it. The host knobs always come from given.
+func experimentParams(given experiments.Params, paper bool) experiments.Params {
+	p := experiments.DefaultParams()
+	if paper {
+		p = experiments.PaperParams()
+	}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "w":
+			p.ScreenW = given.ScreenW
+		case "h":
+			p.ScreenH = given.ScreenH
+		case "frames":
+			p.Frames, p.Warmup = given.Frames, given.Warmup
+		case "l2kb":
+			p.L2KB = given.L2KB
+		}
+	})
+	p.SimWorkers, p.RenderElim = given.SimWorkers, given.RenderElim
+	return p
+}
+
+// refuse ends the run before anything simulates when err reports a
+// configuration no simulation can run with: one librasim line, exit 2.
+func refuse(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "librasim: %v\n", err)
 		os.Exit(2)
 	}
 }

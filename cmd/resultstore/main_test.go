@@ -10,13 +10,16 @@ import (
 	"repro/internal/resultstore"
 )
 
-func seededStore(t *testing.T) (*resultstore.Store, []string) {
+// seededStore opens a store in a fresh directory, which it also returns,
+// holding two entries under keys.
+func seededStore(t *testing.T) (st *resultstore.Store, dir string, keys []string) {
 	t.Helper()
-	st, err := resultstore.Open(t.TempDir())
+	dir = t.TempDir()
+	st, err := resultstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := []string{
+	keys = []string{
 		resultstore.KeySpec{Schema: 1, Game: "A"}.Key(),
 		resultstore.KeySpec{Schema: 1, Game: "B"}.Key(),
 	}
@@ -25,7 +28,7 @@ func seededStore(t *testing.T) (*resultstore.Store, []string) {
 			t.Fatal(err)
 		}
 	}
-	return st, keys
+	return st, dir, keys
 }
 
 func runCmd(t *testing.T, st *resultstore.Store, cmd string, args ...string) (int, string) {
@@ -39,7 +42,7 @@ func runCmd(t *testing.T, st *resultstore.Store, cmd string, args ...string) (in
 }
 
 func TestLs(t *testing.T) {
-	st, keys := seededStore(t)
+	st, _, keys := seededStore(t)
 	code, out := runCmd(t, st, "ls")
 	if code != 0 {
 		t.Fatalf("ls exit %d", code)
@@ -55,7 +58,7 @@ func TestLs(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	st, _ := seededStore(t)
+	st, _, _ := seededStore(t)
 	code, out := runCmd(t, st, "stats")
 	if code != 0 {
 		t.Fatalf("stats exit %d", code)
@@ -68,13 +71,13 @@ func TestStats(t *testing.T) {
 }
 
 func TestVerifyCleanAndCorrupt(t *testing.T) {
-	st, keys := seededStore(t)
+	st, dir, keys := seededStore(t)
 	code, out := runCmd(t, st, "verify")
 	if code != 0 || !strings.Contains(out, "ok: 2  quarantined: 0") {
 		t.Fatalf("clean verify: exit %d, out %q", code, out)
 	}
 	// Damage one entry: verify must quarantine it and exit 1.
-	matches, err := filepath.Glob(filepath.Join(st.Dir(), "objects", "*", keys[0]+".res"))
+	matches, err := filepath.Glob(filepath.Join(dir, "objects", "*", keys[0]+".res"))
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("entry file for %s not found", keys[0][:16])
 	}
@@ -88,9 +91,9 @@ func TestVerifyCleanAndCorrupt(t *testing.T) {
 }
 
 func TestGCDryRunAndReal(t *testing.T) {
-	st, keys := seededStore(t)
+	st, dir, keys := seededStore(t)
 	old := time.Now().Add(-48 * time.Hour)
-	matches, _ := filepath.Glob(filepath.Join(st.Dir(), "objects", "*", keys[0]+".res"))
+	matches, _ := filepath.Glob(filepath.Join(dir, "objects", "*", keys[0]+".res"))
 	if len(matches) != 1 {
 		t.Fatal("aged entry not found")
 	}
@@ -116,7 +119,7 @@ func TestGCDryRunAndReal(t *testing.T) {
 }
 
 func TestUnknownCommand(t *testing.T) {
-	st, _ := seededStore(t)
+	st, _, _ := seededStore(t)
 	code, err := run(st, "bogus", nil, &strings.Builder{})
 	if code != 2 || err == nil {
 		t.Fatalf("unknown command: exit %d, err %v", code, err)

@@ -16,7 +16,6 @@
 //	suite -suite mem -frames 12    # memory-intensive games only
 //	suite -jobs 8                  # cap the worker pool
 //	suite -result-dir ~/.libra     # persist results across runs
-//	suite -experiment ablation-re  # LIBRA vs RE vs LIBRA+RE from the registry
 package main
 
 import (
@@ -44,7 +43,6 @@ func main() {
 	flag.BoolVar(&cli.Quiet, "quiet", false, "suppress the stderr progress/ETA line")
 	var (
 		which      = flag.String("suite", "all", "all | mem | compute")
-		experiment = flag.String("experiment", "", "run one registry experiment (e.g. ablation-re: LIBRA vs RE vs LIBRA+RE) instead of the suite table")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON (open in Perfetto) of one traced run to this path")
 		metricsOut = flag.String("metrics-out", "", "write the traced run's metrics registry as JSON to this path")
 		traceGame  = flag.String("trace-game", "", "benchmark abbreviation to trace (default: first game of the suite)")
@@ -63,15 +61,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown suite %q\n", *which)
 		os.Exit(1)
-	}
-
-	// -experiment delegates to the shared registry (the same drivers
-	// cmd/librasim exposes) on this invocation's runner, so the result
-	// store, Ctrl-C handling and host flags all apply unchanged.
-	if *experiment != "" {
-		fmt.Println(cli.Experiment(*experiment).Table())
-		cli.ReportStore()
-		return
 	}
 
 	r := cli.Runner()

@@ -60,11 +60,8 @@ func main() {
 
 	// The shared runner brings the in-memory singleflight cache and, with
 	// -result-dir, the persistent layer an interrupted sweep resumes from.
-	base := libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH)
+	base := cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH))
 	base.Policy = libra.Policy(*policy)
-	base.L2KB = cli.P.L2KB
-	base.SimWorkers = cli.P.SimWorkers
-	base.RenderElim = cli.P.RenderElim
 	base.RasterUnits = 2
 	base.CoresPerRU = 4
 	jobs := make([]experiments.Job, len(points))

@@ -442,14 +442,3 @@ func isStringType(p *Pass, e ast.Expr) bool {
 	b, ok := tv.Type.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
 }
-
-// HotPathFunctions exposes the //libra:hotpath reachability closure for
-// tests: the full names of every function alloclint checks in the module.
-func HotPathFunctions(m *Module) map[string]bool {
-	cons := collectContracts(m, nil)
-	out := make(map[string]bool)
-	for fn := range cons.hotFunctions() {
-		out[fn.FullName()] = true
-	}
-	return out
-}

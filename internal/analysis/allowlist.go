@@ -98,13 +98,11 @@ func (al *Allowlist) Filter(diags []Diagnostic) []Diagnostic {
 	return kept
 }
 
-// Stale returns one diagnostic per entry that suppressed nothing, so a fixed
-// violation forces its allowlist line to be deleted in the same change.
-func (al *Allowlist) Stale() []Diagnostic { return al.StaleFor(nil) }
-
-// StaleFor is Stale restricted to entries belonging to the analyzers in ran
-// (nil means all): a `-analyzer` subset run must not misreport entries whose
-// analyzer never executed.
+// StaleFor returns one diagnostic per entry that suppressed nothing, so a
+// fixed violation forces its allowlist line to be deleted in the same
+// change. Only entries of the analyzers in ran count (nil means all): a
+// `-analyzer` subset run must not misreport entries whose analyzer never
+// executed.
 func (al *Allowlist) StaleFor(ran map[string]bool) []Diagnostic {
 	if al == nil {
 		return nil

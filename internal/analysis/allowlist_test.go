@@ -61,7 +61,7 @@ seedlint internal/workloads
 	if len(kept) != 2 {
 		t.Fatalf("kept %d diagnostics, want 2: %v", len(kept), kept)
 	}
-	stale := al.Stale()
+	stale := al.StaleFor(nil)
 	if len(stale) != 1 {
 		t.Fatalf("got %d stale diagnostics, want 1 (the unused seedlint entry)", len(stale))
 	}
@@ -81,7 +81,7 @@ func TestAllowlistMissingFileIsEmpty(t *testing.T) {
 	if got := al.Filter([]Diagnostic{diag("a/b.go", 1, "detlint")}); len(got) != 1 {
 		t.Errorf("empty allowlist must keep everything, kept %d", len(got))
 	}
-	if stale := al.Stale(); len(stale) != 0 {
+	if stale := al.StaleFor(nil); len(stale) != 0 {
 		t.Errorf("empty allowlist has no stale entries, got %d", len(stale))
 	}
 }

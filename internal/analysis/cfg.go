@@ -1,16 +1,16 @@
 package analysis
 
 // A lightweight per-function control-flow graph over go/ast statements, plus
-// the two dataflow facts the analyzers share: dominance (telemetrylint's
-// nil-guard and retainlint's Clone checks are dominance queries) and a
-// forward must-analysis of branch "guard facts" (nil-checks and capacity
-// checks observed on the taken edge), which lets alloclint exempt lazy-init
-// and watermark-growth cold paths that stop executing at steady state.
+// the dataflow fact the analyzers share: a forward must-analysis of branch
+// "guard facts" (nil-checks and capacity checks observed on the taken edge).
+// It lets telemetrylint prove an emit's nil-guard holds on every path, and
+// alloclint exempt lazy-init and watermark-growth cold paths that stop
+// executing at steady state.
 //
 // The graph is statement-granular: every ast.Stmt in the function body gets
 // one node (an IfStmt/ForStmt node stands for its condition evaluation, with
 // labeled true/false successor edges). Functions in this codebase are small,
-// so the O(N^2)-ish iterative dominance and fact fixpoints are cheap.
+// so the O(N^2)-ish iterative fact fixpoint is cheap.
 
 import (
 	"go/ast"
@@ -26,7 +26,6 @@ type CFG struct {
 	Nodes []*CFGNode
 
 	byStmt map[ast.Stmt]*CFGNode
-	idom   []int // Nodes index -> immediate dominator index, -1 = none/unreachable
 }
 
 // CFGNode is one statement (or the synthetic entry/exit) in the graph.
@@ -87,7 +86,6 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	} else {
 		b.edge(c.Entry, c.Exit, nil, false)
 	}
-	c.computeDominators()
 	return c
 }
 
@@ -407,95 +405,8 @@ func isTerminalCall(e ast.Expr) bool {
 	return false
 }
 
-// --- Reachability and dominance ---
-
-// Reachable reports whether n can execute (is reachable from Entry).
-func (c *CFG) Reachable(n *CFGNode) bool {
-	if n == nil {
-		return false
-	}
-	return c.idom[n.Index] != -1 || n == c.Entry
-}
-
-// computeDominators runs the classic iterative dominator algorithm
-// (Cooper/Harvey/Kennedy) over a reverse postorder of the graph.
-func (c *CFG) computeDominators() {
-	rpo := c.reversePostorder()
-	order := make([]int, len(c.Nodes)) // node index -> RPO position
-	for i := range order {
-		order[i] = -1
-	}
-	for i, n := range rpo {
-		order[n.Index] = i
-	}
-	idom := make([]int, len(c.Nodes))
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[c.Entry.Index] = c.Entry.Index
-	intersect := func(a, b int) int {
-		for a != b {
-			for order[a] > order[b] {
-				a = idom[a]
-			}
-			for order[b] > order[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range rpo {
-			if n == c.Entry {
-				continue
-			}
-			newIdom := -1
-			for _, e := range n.Preds {
-				p := e.From.Index
-				if idom[p] == -1 {
-					continue // pred not yet processed / unreachable
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom != -1 && idom[n.Index] != newIdom {
-				idom[n.Index] = newIdom
-				changed = true
-			}
-		}
-	}
-	// Entry's self-idom is bookkeeping only; mark unreachable as -1 (already)
-	c.idom = idom
-}
-
-// Dominates reports whether a dominates b: every path from entry to b passes
-// through a. Unreachable nodes are dominated by everything reachable.
-func (c *CFG) Dominates(a, b *CFGNode) bool {
-	if a == nil || b == nil {
-		return false
-	}
-	if a == b {
-		return true
-	}
-	if !c.Reachable(b) {
-		return true
-	}
-	for i := b.Index; ; {
-		d := c.idom[i]
-		if d == i || d == -1 {
-			return false
-		}
-		if d == a.Index {
-			return true
-		}
-		i = d
-	}
-}
-
+// reversePostorder lists the nodes reachable from Entry, each before its
+// successors except along back edges: the visiting order of GuardFacts.
 func (c *CFG) reversePostorder() []*CFGNode {
 	seen := make([]bool, len(c.Nodes))
 	var post []*CFGNode

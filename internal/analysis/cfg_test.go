@@ -34,36 +34,58 @@ func parseFuncBody(t testing.TB, params, body string) (*ast.BlockStmt, *types.In
 	return fd.Body, info
 }
 
+// reach returns the nodes a walk along Succs from Entry visits without
+// entering avoid (nil avoids nothing).
+func reach(cfg *CFG, avoid *CFGNode) map[*CFGNode]bool {
+	seen := map[*CFGNode]bool{}
+	var walk func(n *CFGNode)
+	walk = func(n *CFGNode) {
+		if n == avoid || seen[n] {
+			return
+		}
+		seen[n] = true
+		for _, e := range n.Succs {
+			walk(e.To)
+		}
+	}
+	walk(cfg.Entry)
+	return seen
+}
+
 // TestCFGStraightLine: sequential statements chain entry -> s1 -> ... -> exit,
-// and each dominates its successors.
+// each with its successor as its only edge.
 func TestCFGStraightLine(t *testing.T) {
 	body, _ := parseFuncBody(t, "", `
 a := 1
 b := a + 1
 _ = b`)
 	cfg := BuildCFG(body)
+	live := reach(cfg, nil)
+	only := func(from, to *CFGNode) bool {
+		return len(from.Succs) == 1 && from.Succs[0].To == to && len(to.Preds) == 1
+	}
 	var prev *CFGNode = cfg.Entry
 	for i, s := range body.List {
 		n := cfg.NodeFor(s)
 		if n == nil {
 			t.Fatalf("statement %d has no CFG node", i)
 		}
-		if !cfg.Reachable(n) {
+		if !live[n] {
 			t.Errorf("statement %d unreachable", i)
 		}
-		if !cfg.Dominates(prev, n) {
-			t.Errorf("node %d does not dominate statement %d", prev.Index, i)
+		if !only(prev, n) {
+			t.Errorf("node %d does not lead only to statement %d", prev.Index, i)
 		}
 		prev = n
 	}
-	if !cfg.Dominates(prev, cfg.Exit) {
-		t.Error("last statement does not dominate exit")
+	if !only(prev, cfg.Exit) {
+		t.Error("last statement does not lead only to exit")
 	}
 }
 
-// TestCFGBranchDominance: an if/else head dominates both arms and the join;
-// neither arm dominates the join.
-func TestCFGBranchDominance(t *testing.T) {
+// TestCFGBranchJoin: an if/else head branches true and false on its
+// condition, and the join is reached through either arm alone.
+func TestCFGBranchJoin(t *testing.T) {
 	body, _ := parseFuncBody(t, "c bool", `
 if c {
 	a := 1
@@ -80,24 +102,30 @@ _ = join`)
 	thenN := cfg.NodeFor(ifStmt.Body.List[0])
 	elseN := cfg.NodeFor(ifStmt.Else.(*ast.BlockStmt).List[0])
 	join := cfg.NodeFor(body.List[1])
+	live := reach(cfg, nil)
 	for name, n := range map[string]*CFGNode{"then": thenN, "else": elseN, "join": join} {
-		if !cfg.Reachable(n) {
+		if !live[n] {
 			t.Errorf("%s unreachable", name)
 		}
-		if !cfg.Dominates(head, n) {
-			t.Errorf("if head does not dominate %s", name)
+	}
+	if len(head.Succs) != 2 {
+		t.Fatalf("if head has %d successors, want 2", len(head.Succs))
+	}
+	for i, e := range head.Succs {
+		if e.Cond != ifStmt.Cond || e.Branch != (i == 0) {
+			t.Errorf("if head edge %d: cond %v branch %v, want the condition's %v arm", i, e.Cond, e.Branch, i == 0)
 		}
 	}
-	if cfg.Dominates(thenN, join) {
-		t.Error("then-arm must not dominate the join")
+	if !reach(cfg, thenN)[join] {
+		t.Error("the join must be reachable through the else-arm alone")
 	}
-	if cfg.Dominates(elseN, join) {
-		t.Error("else-arm must not dominate the join")
+	if !reach(cfg, elseN)[join] {
+		t.Error("the join must be reachable through the then-arm alone")
 	}
 }
 
 // TestCFGEarlyReturn: code after `if c { return }` stays reachable via the
-// false edge; code directly after an unconditional return is unreachable.
+// false edge; the return itself leads straight to exit.
 func TestCFGEarlyReturn(t *testing.T) {
 	body, _ := parseFuncBody(t, "c bool", `
 if c {
@@ -107,11 +135,12 @@ after := 1
 _ = after`)
 	cfg := BuildCFG(body)
 	after := cfg.NodeFor(body.List[1])
-	if !cfg.Reachable(after) {
-		t.Error("statement after guarded return must be reachable")
+	ret := cfg.NodeFor(body.List[0].(*ast.IfStmt).Body.List[0])
+	if !reach(cfg, ret)[after] {
+		t.Error("statement after guarded return must be reachable past the return")
 	}
-	if !cfg.Dominates(cfg.NodeFor(body.List[0]), after) {
-		t.Error("if head must dominate the fall-through")
+	if len(ret.Succs) != 1 || ret.Succs[0].To != cfg.Exit {
+		t.Error("return must lead only to exit")
 	}
 }
 
@@ -125,14 +154,14 @@ dead := 2
 _ = dead`)
 	cfg := BuildCFG(body)
 	dead := cfg.NodeFor(body.List[3])
-	if cfg.Reachable(dead) {
+	if reach(cfg, nil)[dead] {
 		t.Error("statement after panic must be unreachable")
 	}
 }
 
-// TestCFGLoop: the loop head dominates the body; the body does not dominate
-// the code after the loop (break may skip arbitrary iterations but the head's
-// false edge always bounds it).
+// TestCFGLoop: the body's post statement leads back to the loop head, and
+// the code after the loop is reachable without running the body (the
+// head's false edge) and through the break.
 func TestCFGLoop(t *testing.T) {
 	body, _ := parseFuncBody(t, "", `
 sum := 0
@@ -148,14 +177,23 @@ _ = sum`)
 	head := cfg.NodeFor(loop)
 	work := cfg.NodeFor(loop.Body.List[1])
 	after := cfg.NodeFor(body.List[2])
-	if !cfg.Reachable(work) || !cfg.Reachable(after) {
+	live := reach(cfg, nil)
+	if !live[work] || !live[after] {
 		t.Fatal("loop body and after-loop must be reachable")
 	}
-	if !cfg.Dominates(head, work) {
-		t.Error("loop head must dominate the body")
+	if post := cfg.NodeFor(loop.Post); len(post.Succs) != 1 || post.Succs[0].To != head {
+		t.Error("the post statement must lead back to the loop head")
 	}
-	if cfg.Dominates(work, after) {
-		t.Error("loop body must not dominate the statement after the loop")
+	if !reach(cfg, work)[after] {
+		t.Error("the statement after the loop must be reachable without the body")
+	}
+	brk := cfg.NodeFor(loop.Body.List[0].(*ast.IfStmt).Body.List[0])
+	exits := map[*CFGNode]bool{}
+	for _, e := range after.Preds[0].From.Preds { // the loop's exit node
+		exits[e.From] = true
+	}
+	if len(exits) != 2 || !exits[head] || !exits[brk] {
+		t.Error("the loop must exit through the head's false edge and the break only")
 	}
 }
 
@@ -216,7 +254,7 @@ if p != nil {
 
 // FuzzCFGBuild: any function body that parses must build a well-formed graph —
 // no panics, entry/exit present, every edge endpoint a registered node, and
-// dominance queries total.
+// GuardFacts' visiting order holding every node reachable from entry once.
 func FuzzCFGBuild(f *testing.F) {
 	seeds := []string{
 		"",
@@ -266,12 +304,21 @@ func FuzzCFGBuild(f *testing.F) {
 					t.Fatalf("pred edge of node %d not well-formed", n.Index)
 				}
 			}
-			// Dominance must be a total, panic-free query.
-			cfg.Dominates(cfg.Entry, n)
-			cfg.Dominates(n, cfg.Exit)
 		}
-		if !cfg.Reachable(cfg.Entry) {
-			t.Fatal("entry must be reachable")
+		live := reach(cfg, nil)
+		rpo := cfg.reversePostorder()
+		if len(rpo) != len(live) || rpo[0] != cfg.Entry {
+			t.Fatalf("reverse postorder has %d nodes starting at node %d; %d are reachable from entry",
+				len(rpo), rpo[0].Index, len(live))
+		}
+		for _, n := range rpo {
+			if !live[n] {
+				t.Fatalf("reverse postorder lists unreachable node %d", n.Index)
+			}
+			delete(live, n)
+		}
+		if len(live) != 0 {
+			t.Fatalf("reverse postorder repeats a node and misses %d", len(live))
 		}
 	})
 }

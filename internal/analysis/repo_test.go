@@ -56,7 +56,10 @@ func TestAllowlistIsMinimal(t *testing.T) {
 // the FrameTrace it returns) and must stay out.
 func TestHotPathSetCoversAllocGates(t *testing.T) {
 	m := loadRepo(t)
-	hot := HotPathFunctions(m)
+	hot := map[string]bool{}
+	for fn := range collectContracts(m, nil).hotFunctions() {
+		hot[fn.FullName()] = true
+	}
 	for _, fn := range []string{
 		"(*repro/internal/raster.Renderer).RenderTileInto",
 		"(*repro/internal/raster.FrameBuffer).AppendTileFlushLines",

@@ -51,22 +51,22 @@ func TestAltTemperatureUsesRankingAfterWarmup(t *testing.T) {
 }
 
 func TestPrefetchConfigRuns(t *testing.T) {
-	cfg := BaselineConfig(testW, testH, 8)
+	cfg := DefaultConfig(testW, testH)
 	cfg.PrefetchTexture = true
 	frames := renderFrames(t, cfg, "HCR", 2)
 	if frames[1].TotalCycles <= 0 {
 		t.Fatal("prefetch config broke simulation")
 	}
 	// Prefetching must not change the image.
-	base := renderFrames(t, BaselineConfig(testW, testH, 8), "HCR", 2)
+	base := renderFrames(t, DefaultConfig(testW, testH), "HCR", 2)
 	if frames[1].FrameHash != base[1].FrameHash {
 		t.Error("prefetching changed the rendered image")
 	}
 }
 
 func TestRefreshAddsLatency(t *testing.T) {
-	plain := BaselineConfig(testW, testH, 8)
-	withRef := BaselineConfig(testW, testH, 8)
+	plain := DefaultConfig(testW, testH)
+	withRef := DefaultConfig(testW, testH)
 	withRef.DRAM.RefreshInterval = 2000
 	withRef.DRAM.RefreshLatency = 150
 	a := renderFrames(t, plain, "CCS", 2)
@@ -99,9 +99,9 @@ func TestCapSupertile(t *testing.T) {
 func TestReplayTraceSizeMismatchRejected(t *testing.T) {
 	p, _ := workloads.ByAbbrev("Jet")
 	g := p.New()
-	gpu := New(BaselineConfig(testW, testH, 8))
+	gpu := New(DefaultConfig(testW, testH))
 	_, ft := gpu.CaptureTrace(g.BuildFrame(0))
-	if _, err := ReplayTrace(BaselineConfig(testW*2, testH, 8), ft, 1); err == nil {
+	if _, err := ReplayTrace(DefaultConfig(testW*2, testH), ft, 1); err == nil {
 		t.Error("screen mismatch accepted")
 	}
 }

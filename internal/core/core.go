@@ -113,16 +113,6 @@ func DefaultConfig(screenW, screenH int) Config {
 	}
 }
 
-// BaselineConfig is the paper's baseline GPU: a single Raster Unit holding
-// all shader cores, scheduled in Z-order.
-func BaselineConfig(screenW, screenH, totalCores int) Config {
-	cfg := DefaultConfig(screenW, screenH)
-	cfg.Mode = ModeZOrder
-	cfg.Sim.RasterUnits = 1
-	cfg.Sim.CoresPerRU = totalCores
-	return cfg
-}
-
 // PTRConfig is parallel tile rendering with interleaved Z-order dispatch:
 // the same total core count split into Raster Units of 4 cores each.
 func PTRConfig(screenW, screenH, rasterUnits int) Config {
@@ -300,9 +290,8 @@ func (g *GPU) RenderFrame(sc *scene.Scene) FrameResult {
 	lists := g.binner.Bin(g.grid, prims)
 	res.PBBytes = lists.PBBytes
 	// PB writes flow through the Tile cache as binning progresses, spread
-	// across the geometry phase. The written lines are sequential from
-	// ParamBase (see TileLists.WriteAddrs), so they are iterated directly
-	// rather than materialized.
+	// across the geometry phase. The written lines are the PBBytes that
+	// follow ParamBase, one per 64-byte line, so they are iterated directly.
 	if n := int64((lists.PBBytes + 63) / 64); n > 0 {
 		for i := int64(0); i < n; i++ {
 			addr := mem.ParamBase + uint64(i*64)

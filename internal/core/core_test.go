@@ -30,7 +30,7 @@ func renderFrames(t *testing.T, cfg Config, game string, frames int) []FrameResu
 }
 
 func TestFrameProducesWork(t *testing.T) {
-	res := renderFrames(t, BaselineConfig(testW, testH, 8), "CCS", 1)[0]
+	res := renderFrames(t, DefaultConfig(testW, testH), "CCS", 1)[0]
 	if res.Fragments == 0 {
 		t.Fatal("no fragments shaded")
 	}
@@ -58,7 +58,7 @@ func TestSchedulingDoesNotChangeImage(t *testing.T) {
 	// The core invariant: the rendered image is identical under every
 	// scheduler and RU configuration.
 	configs := map[string]Config{
-		"baseline-8":  BaselineConfig(testW, testH, 8),
+		"baseline-8":  DefaultConfig(testW, testH),
 		"ptr-2":       PTRConfig(testW, testH, 2),
 		"libra-2":     LIBRAConfig(testW, testH, 2),
 		"libra-4":     LIBRAConfig(testW, testH, 4),
@@ -101,8 +101,8 @@ func TestDeterministicSimulation(t *testing.T) {
 }
 
 func TestIdealMemoryIsFaster(t *testing.T) {
-	real := renderFrames(t, BaselineConfig(testW, testH, 8), "CCS", 2)
-	idealCfg := BaselineConfig(testW, testH, 8)
+	real := renderFrames(t, DefaultConfig(testW, testH), "CCS", 2)
+	idealCfg := DefaultConfig(testW, testH)
 	idealCfg.IdealMemory = true
 	ideal := renderFrames(t, idealCfg, "CCS", 2)
 	if ideal[1].RasterCycles >= real[1].RasterCycles {
@@ -115,8 +115,10 @@ func TestIdealMemoryIsFaster(t *testing.T) {
 }
 
 func TestMoreCoresNotSlower(t *testing.T) {
-	four := renderFrames(t, BaselineConfig(testW, testH, 4), "CCS", 2)
-	eight := renderFrames(t, BaselineConfig(testW, testH, 8), "CCS", 2)
+	fourCfg := DefaultConfig(testW, testH)
+	fourCfg.Sim.CoresPerRU = 4
+	four := renderFrames(t, fourCfg, "CCS", 2)
+	eight := renderFrames(t, DefaultConfig(testW, testH), "CCS", 2)
 	if eight[1].RasterCycles > four[1].RasterCycles {
 		t.Errorf("8 cores (%d) slower than 4 cores (%d)",
 			eight[1].RasterCycles, four[1].RasterCycles)
@@ -140,7 +142,7 @@ func TestLIBRAUsesTemperatureAfterWarmup(t *testing.T) {
 }
 
 func TestIntervalHistogramRecorded(t *testing.T) {
-	cfg := BaselineConfig(testW, testH, 8)
+	cfg := DefaultConfig(testW, testH)
 	cfg.IntervalWidth = 5000
 	res := renderFrames(t, cfg, "CCS", 1)[0]
 	if res.Intervals == nil {
@@ -159,7 +161,7 @@ func TestIntervalHistogramRecorded(t *testing.T) {
 }
 
 func TestFrameCoherenceOfTileStats(t *testing.T) {
-	frames := renderFrames(t, BaselineConfig(testW, testH, 8), "SuS", 3)
+	frames := renderFrames(t, DefaultConfig(testW, testH), "SuS", 3)
 	a, b := frames[1].TileStats, frames[2].TileStats
 	// Most tiles should have similar DRAM counts between consecutive frames
 	// (Fig. 8's property).
@@ -188,7 +190,7 @@ func TestFrameCoherenceOfTileStats(t *testing.T) {
 }
 
 func TestFPSAndModeString(t *testing.T) {
-	res := renderFrames(t, BaselineConfig(testW, testH, 8), "Jet", 1)[0]
+	res := renderFrames(t, DefaultConfig(testW, testH), "Jet", 1)[0]
 	if fps := res.FPS(800e6); fps <= 0 {
 		t.Errorf("FPS = %v", fps)
 	}

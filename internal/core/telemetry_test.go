@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -21,7 +23,7 @@ func TestSetRecorderWiresEveryUnit(t *testing.T) {
 	gpu.SetRecorder(tr)
 	gpu.RenderFrame(p.New().BuildFrame(0))
 
-	s := tr.MetricsSnapshot()
+	s := exportedMetrics(t, tr)
 	if s.Counters["frames"] != 1 {
 		t.Errorf("frames = %d, want 1", s.Counters["frames"])
 	}
@@ -45,13 +47,13 @@ func TestSetRecorderWiresEveryUnit(t *testing.T) {
 	// Detaching must stop recording.
 	gpu.SetRecorder(nil)
 	gpu.RenderFrame(p.New().BuildFrame(1))
-	if got := tr.MetricsSnapshot().Counters["frames"]; got != 1 {
+	if got := exportedMetrics(t, tr).Counters["frames"]; got != 1 {
 		t.Errorf("frames after detach = %d, want 1", got)
 	}
 }
 
 func TestGPUAccessors(t *testing.T) {
-	cfg := BaselineConfig(testW, testH, 8)
+	cfg := DefaultConfig(testW, testH)
 	gpu := New(cfg)
 	if gpu.Config().ScreenW != testW {
 		t.Errorf("Config().ScreenW = %d, want %d", gpu.Config().ScreenW, testW)
@@ -62,4 +64,19 @@ func TestGPUAccessors(t *testing.T) {
 	if gpu.FrameBuffer() == nil {
 		t.Error("FrameBuffer() is nil")
 	}
+}
+
+// exportedMetrics decodes tr's ExportMetrics output: the registry snapshot
+// that -metrics-out writes.
+func exportedMetrics(t *testing.T, tr *telemetry.Trace) telemetry.Snapshot {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.ExportMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var s telemetry.Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -80,7 +80,7 @@ func TestTileTraceDigests(t *testing.T) {
 // tileTraceDigest captures the first tileTraceFrames frames of p under
 // filter f and hashes their complete functional output.
 func tileTraceDigest(p workloads.Profile, f raster.Filtering) uint64 {
-	cfg := BaselineConfig(testW, testH, 8)
+	cfg := DefaultConfig(testW, testH)
 	cfg.Sim.Filtering = f
 	game := p.New()
 	gpu := New(cfg)

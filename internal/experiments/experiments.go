@@ -67,6 +67,15 @@ func (p Params) Validate() error {
 	return libra.ValidateL2KB(p.L2KB)
 }
 
+// Apply returns cfg with the settings p gives every simulation it runs: the
+// L2 size and the SimWorkers and RenderElim host knobs.
+func (p Params) Apply(cfg libra.Config) libra.Config {
+	cfg.L2KB = p.L2KB
+	cfg.SimWorkers = p.SimWorkers
+	cfg.RenderElim = p.RenderElim
+	return cfg
+}
+
 // TotalCores is the shader-core budget of the headline comparison: the
 // baseline has one 8-core Raster Unit, LIBRA two 4-core Raster Units.
 const TotalCores = 8
@@ -371,32 +380,24 @@ func column(rows []Row, k int) []float64 {
 
 // Standard configurations of the evaluation.
 
-// scale applies the runner's hardware scaling to a configuration.
-func (r *Runner) scale(cfg libra.Config) libra.Config {
-	cfg.L2KB = r.P.L2KB
-	cfg.SimWorkers = r.P.SimWorkers
-	cfg.RenderElim = r.P.RenderElim
-	return cfg
-}
-
 // Baseline is the conventional GPU: 1 RU × TotalCores.
 func (r *Runner) Baseline() libra.Config {
-	return r.scale(libra.Baseline(r.P.ScreenW, r.P.ScreenH, TotalCores))
+	return r.P.Apply(libra.Baseline(r.P.ScreenW, r.P.ScreenH, TotalCores))
 }
 
 // BaselineCores is a single-RU baseline with the given core count.
 func (r *Runner) BaselineCores(n int) libra.Config {
-	return r.scale(libra.Baseline(r.P.ScreenW, r.P.ScreenH, n))
+	return r.P.Apply(libra.Baseline(r.P.ScreenW, r.P.ScreenH, n))
 }
 
 // PTR is parallel tile rendering with n 4-core RUs, Z-order interleaved.
 func (r *Runner) PTR(n int) libra.Config {
-	return r.scale(libra.PTR(r.P.ScreenW, r.P.ScreenH, n))
+	return r.P.Apply(libra.PTR(r.P.ScreenW, r.P.ScreenH, n))
 }
 
 // LIBRA is the full proposal with n 4-core RUs.
 func (r *Runner) LIBRA(n int) libra.Config {
-	return r.scale(libra.LIBRA(r.P.ScreenW, r.P.ScreenH, n))
+	return r.P.Apply(libra.LIBRA(r.P.ScreenW, r.P.ScreenH, n))
 }
 
 // suite name lists.

@@ -37,7 +37,7 @@ func TestSharedTraceUnderPool(t *testing.T) {
 		}
 	}
 
-	s := tr.MetricsSnapshot()
+	s := exportedMetrics(t, tr)
 	if got := s.Counters["frames"]; got != int64(2*len(games)) {
 		t.Errorf("frames = %d, want %d", got, 2*len(games))
 	}
@@ -75,7 +75,22 @@ func TestRunnerTelemetryHook(t *testing.T) {
 	if calls.Load() == 0 {
 		t.Error("telemetry factory was never called")
 	}
-	if got := tr.MetricsSnapshot().Counters["frames"]; got == 0 {
+	if got := exportedMetrics(t, tr).Counters["frames"]; got == 0 {
 		t.Error("recorder attached via SetTelemetry saw no frames")
 	}
+}
+
+// exportedMetrics decodes tr's ExportMetrics output: the registry snapshot
+// that -metrics-out writes.
+func exportedMetrics(t *testing.T, tr *telemetry.Trace) telemetry.Snapshot {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.ExportMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var s telemetry.Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

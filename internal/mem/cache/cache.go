@@ -219,13 +219,3 @@ func (c *Cache) AppendLines(dst []uint64) []uint64 {
 	}
 	return dst
 }
-
-// ValidLines returns the number of currently valid lines (test helper and
-// occupancy metric).
-func (c *Cache) ValidLines() int {
-	n := 0
-	for _, v := range c.valid {
-		n += v
-	}
-	return n
-}

@@ -136,7 +136,7 @@ func TestCacheInvariants(t *testing.T) {
 		if s.Hits+s.Misses != s.Accesses {
 			return false
 		}
-		if c.ValidLines() > 2048/64 {
+		if len(c.AppendLines(nil)) > 2048/64 {
 			return false
 		}
 		return s.Writebacks <= s.Evictions

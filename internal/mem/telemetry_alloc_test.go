@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/mem/cache"
@@ -45,7 +47,7 @@ func TestEnabledTelemetryCounts(t *testing.T) {
 	h.AccessThroughL1(l1, 0, addr, false)   // L1 miss → L2 miss → DRAM
 	h.AccessThroughL1(l1, 200, addr, false) // L1 hit
 
-	s := tr.MetricsSnapshot()
+	s := exportedMetrics(t, tr)
 	l1Hits := sum(s.Histograms["cache.l1.hits"].Buckets)
 	l1Misses := sum(s.Histograms["cache.l1.misses"].Buckets)
 	if l1Hits != 1 || l1Misses != 1 {
@@ -63,6 +65,21 @@ func sum(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		s += x
+	}
+	return s
+}
+
+// exportedMetrics decodes tr's ExportMetrics output: the registry snapshot
+// that -metrics-out writes.
+func exportedMetrics(t *testing.T, tr *telemetry.Trace) telemetry.Snapshot {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.ExportMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var s telemetry.Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
+		t.Fatal(err)
 	}
 	return s
 }

@@ -36,7 +36,7 @@ func concurrencyScene(grid tiling.Grid) (*scene.Scene, []gpipe.Primitive, *tilin
 		o := float32(i) * fw / 7
 		add(1, tri(o, 0, o+fw/3, fh/2, o, fh, 0.5-float32(i)*0.05))
 	}
-	return s, prims, tiling.Bin(grid, prims)
+	return s, prims, new(tiling.Binner).Bin(grid, prims)
 }
 
 // TestConcurrentRenderersMatchSerial checks the concurrency contract stated

@@ -108,7 +108,7 @@ func TestCorruptEntriesAreQuarantinedNeverServed(t *testing.T) {
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Errorf("corrupt entry still present in the lookup path")
 			}
-			if q := countFiles(filepath.Join(st.Dir(), "quarantine")); q != 1 {
+			if q := countFiles(filepath.Join(st.dir, "quarantine")); q != 1 {
 				t.Errorf("quarantine holds %d files, want 1", q)
 			}
 
@@ -137,12 +137,12 @@ func TestKillMidWriteLeftovers(t *testing.T) {
 	// that cannot be alive (kernel threads aside, pid_max caps real pids;
 	// the test pid below is far beyond the default).
 	deadPID := 1 << 22
-	partial := filepath.Join(st.Dir(), "tmp", fmt.Sprintf("%s.%d.1.tmp", key, deadPID))
+	partial := filepath.Join(st.dir, "tmp", fmt.Sprintf("%s.%d.1.tmp", key, deadPID))
 	if err := os.WriteFile(partial, []byte("LIBRARS1\x00\x00half a hea"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Crash state 2: complete entry in tmp, rename never happened.
-	complete := filepath.Join(st.Dir(), "tmp", fmt.Sprintf("%s.%d.2.tmp", key, deadPID))
+	complete := filepath.Join(st.dir, "tmp", fmt.Sprintf("%s.%d.2.tmp", key, deadPID))
 	var otherStore *Store
 	{
 		var err error

@@ -17,7 +17,7 @@ func TestLockAcquireRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lockPath := filepath.Join(st.Dir(), "locks", key+".lock")
+	lockPath := filepath.Join(st.dir, "locks", key+".lock")
 	if _, err := os.Stat(lockPath); err != nil {
 		t.Fatalf("lock file missing while held: %v", err)
 	}
@@ -36,7 +36,7 @@ func TestLockAcquireRelease(t *testing.T) {
 	}
 	release2()
 	// No private .self files left behind.
-	if n := countFiles(filepath.Join(st.Dir(), "locks")); n != 0 {
+	if n := countFiles(filepath.Join(st.dir, "locks")); n != 0 {
 		t.Fatalf("%d files left in locks/ after release", n)
 	}
 }
@@ -91,7 +91,7 @@ func TestStaleLockTakeover(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			st := testStore(t)
 			key := KeySpec{Schema: 1, Game: c.name}.Key()
-			lockPath := filepath.Join(st.Dir(), "locks", key+".lock")
+			lockPath := filepath.Join(st.dir, "locks", key+".lock")
 			if err := os.WriteFile(lockPath, c.body, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,7 @@ import (
 // live holder's lock alone.
 func TestGCSweepsStaleLocksOnly(t *testing.T) {
 	st := testStore(t)
-	stale := filepath.Join(st.Dir(), "locks", KeySpec{Schema: 1, Game: "dead"}.Key()+".lock")
+	stale := filepath.Join(st.dir, "locks", KeySpec{Schema: 1, Game: "dead"}.Key()+".lock")
 	if err := os.WriteFile(stale, []byte(`{"pid":4194304}`), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ const (
 // use by multiple goroutines and multiple processes sharing the directory.
 type Store struct {
 	dir     string
-	metrics atomic.Pointer[telemetry.Registry]
+	metrics *telemetry.Registry
 }
 
 // tmpSeq disambiguates temp files created by one process for the same key.
@@ -77,33 +77,20 @@ var tmpSeq atomic.Int64
 
 // Open creates (if needed) and opens a store rooted at dir.
 func Open(dir string) (*Store, error) {
-	s := &Store{dir: dir}
+	s := &Store{dir: dir, metrics: telemetry.NewRegistry()}
 	for _, sub := range []string{"objects", "tmp", "locks", "quarantine"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("resultstore: %w", err)
 		}
 	}
-	s.metrics.Store(telemetry.NewRegistry())
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Metrics returns the registry the store ticks its hit/miss/corrupt/put
-// counters into. Open installs a private registry; SetMetrics replaces it.
+// counters into: a private one, set once by Open.
 //
 //libra:nonnil
-func (s *Store) Metrics() *telemetry.Registry { return s.metrics.Load() }
-
-// SetMetrics redirects the store's counters into reg (e.g. a registry shared
-// with simulator telemetry). A nil reg restores a fresh private registry.
-func (s *Store) SetMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	s.metrics.Store(reg)
-}
+func (s *Store) Metrics() *telemetry.Registry { return s.metrics }
 
 func (s *Store) inc(name string) { s.Metrics().Counter(name).Inc() }
 

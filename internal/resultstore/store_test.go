@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 // payload is the stand-in result type of the store tests.
@@ -83,7 +81,7 @@ func TestPutOverwriteIsAtomic(t *testing.T) {
 	if !st.Get(key, &out) || out[0].Frame != 2 {
 		t.Fatalf("overwrite not visible: %+v", out)
 	}
-	if tmps := countFiles(filepath.Join(st.Dir(), "tmp")); tmps != 0 {
+	if tmps := countFiles(filepath.Join(st.dir, "tmp")); tmps != 0 {
 		t.Errorf("%d temp files left after successful puts", tmps)
 	}
 }
@@ -110,20 +108,6 @@ func TestRenamedEntryIsNotServed(t *testing.T) {
 	}
 	if c := counter(st, MetricCorrupt); c != 1 {
 		t.Errorf("corrupt counter = %d, want 1", c)
-	}
-}
-
-func TestSetMetricsShared(t *testing.T) {
-	st := testStore(t)
-	reg := telemetry.NewRegistry()
-	st.SetMetrics(reg)
-	st.Get(KeySpec{Schema: 1}.Key(), new([]payload))
-	if reg.Counter(MetricMiss).Value() != 1 {
-		t.Error("shared registry did not receive the miss tick")
-	}
-	st.SetMetrics(nil)
-	if st.Metrics() == nil || st.Metrics() == reg {
-		t.Error("SetMetrics(nil) must restore a private registry")
 	}
 }
 

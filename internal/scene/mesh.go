@@ -24,9 +24,6 @@ type Mesh struct {
 	Base     uint64 // address of vertex 0 in the geometry region
 }
 
-// TriangleCount returns the number of triangles in the mesh.
-func (m *Mesh) TriangleCount() int { return len(m.Indices) / 3 }
-
 // VertexAddr returns the simulated address of vertex i.
 func (m *Mesh) VertexAddr(i int) uint64 {
 	return m.Base + uint64(i)*VertexBytes

@@ -98,30 +98,3 @@ func (s *Scene) Add(dc DrawCall) {
 	}
 	s.DrawCalls = append(s.DrawCalls, dc)
 }
-
-// TriangleCount returns the total submitted triangles.
-func (s *Scene) TriangleCount() int {
-	n := 0
-	for _, dc := range s.DrawCalls {
-		n += dc.Mesh.TriangleCount()
-	}
-	return n
-}
-
-// TextureFootprintBytes returns the summed unique texture storage referenced
-// by the scene (the per-frame memory footprint reported in Table II).
-func (s *Scene) TextureFootprintBytes() uint64 {
-	seen := map[int]uint64{}
-	for _, dc := range s.DrawCalls {
-		for _, t := range dc.Material.Textures {
-			if t != nil {
-				seen[t.ID] = t.SizeBytes()
-			}
-		}
-	}
-	var total uint64
-	for _, sz := range seen {
-		total += sz
-	}
-	return total
-}

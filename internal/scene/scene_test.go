@@ -129,26 +129,27 @@ func TestTextureAllocatorDisjoint(t *testing.T) {
 }
 
 func TestMeshBuilders(t *testing.T) {
+	tris := func(m *Mesh) int { return len(m.Indices) / 3 }
 	q := NewQuad(1, 1)
-	if q.TriangleCount() != 2 || len(q.Vertices) != 4 {
-		t.Errorf("quad: %d tris, %d verts", q.TriangleCount(), len(q.Vertices))
+	if tris(q) != 2 || len(q.Vertices) != 4 {
+		t.Errorf("quad: %d tris, %d verts", tris(q), len(q.Vertices))
 	}
 	g := NewGrid(4, 3, nil)
-	if g.TriangleCount() != 4*3*2 {
-		t.Errorf("grid tris = %d, want 24", g.TriangleCount())
+	if tris(g) != 4*3*2 {
+		t.Errorf("grid tris = %d, want 24", tris(g))
 	}
 	if len(g.Vertices) != 5*4 {
 		t.Errorf("grid verts = %d, want 20", len(g.Vertices))
 	}
 	b := NewBox()
-	if b.TriangleCount() != 12 {
-		t.Errorf("box tris = %d, want 12", b.TriangleCount())
+	if tris(b) != 12 {
+		t.Errorf("box tris = %d, want 12", tris(b))
 	}
 	d := NewDisc(8)
-	if d.TriangleCount() != 8 {
-		t.Errorf("disc tris = %d, want 8", d.TriangleCount())
+	if tris(d) != 8 {
+		t.Errorf("disc tris = %d, want 8", tris(d))
 	}
-	if NewDisc(1).TriangleCount() != 3 {
+	if tris(NewDisc(1)) != 3 {
 		t.Error("degenerate disc should clamp to 3 segments")
 	}
 }
@@ -187,8 +188,12 @@ func TestSceneAddAssignsAddresses(t *testing.T) {
 	if s.DrawCalls[0].VertexProgram.Name != shader.BasicVertex.Name {
 		t.Error("default vertex program not applied")
 	}
-	if s.TriangleCount() != 4 {
-		t.Errorf("triangle count = %d, want 4", s.TriangleCount())
+	tris := 0
+	for _, dc := range s.DrawCalls {
+		tris += len(dc.Mesh.Indices) / 3
+	}
+	if tris != 4 {
+		t.Errorf("triangle count = %d, want 4", tris)
 	}
 }
 
@@ -200,18 +205,6 @@ func TestSceneAddKeepsExistingBase(t *testing.T) {
 	s.Add(DrawCall{Mesh: m, Material: Material{Program: shader.Flat}})
 	if m.Base != base {
 		t.Error("re-adding a mesh must not reassign its address")
-	}
-}
-
-func TestTextureFootprint(t *testing.T) {
-	s := NewScene()
-	alloc := NewTextureAllocator()
-	tex := alloc.Alloc(64, 64)
-	mat := Material{Program: shader.Textured, Textures: []*Texture{tex}}
-	s.Add(DrawCall{Mesh: NewQuad(1, 1), Material: mat})
-	s.Add(DrawCall{Mesh: NewQuad(1, 1), Material: mat}) // same texture twice
-	if got := s.TextureFootprintBytes(); got != tex.SizeBytes() {
-		t.Errorf("footprint = %d, want %d (shared texture counted once)", got, tex.SizeBytes())
 	}
 }
 

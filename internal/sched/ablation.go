@@ -22,7 +22,7 @@ func NewHilbertQueue(grid tiling.Grid) *SingleQueue {
 // the Boustrophedonic-Frames idea of starting each frame where the previous
 // one ended, approximated per frame by alternating direction.
 func NewReverseQueue(grid tiling.Grid, frame int) *SingleQueue {
-	order := grid.Traversal(tiling.OrderMorton)
+	order := grid.Traversal()
 	if frame%2 == 1 {
 		rev := make([]int, len(order))
 		for i, t := range order {
@@ -36,7 +36,7 @@ func NewReverseQueue(grid tiling.Grid, frame int) *SingleQueue {
 // NewRandomQueue dispatches tiles in a seeded random order — the
 // worst-locality control that isolates how much tile adjacency matters.
 func NewRandomQueue(grid tiling.Grid, seed int64) *SingleQueue {
-	order := grid.Traversal(tiling.OrderMorton)
+	order := grid.Traversal()
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	return NewSingleQueue(order, "random")

@@ -16,7 +16,7 @@ type PFR struct {
 // i·NumTiles, so they index frame i in a tile-work slice that holds the
 // frames one after another.
 func NewPFR(grid tiling.Grid, numRUs int) *PFR {
-	base := grid.Traversal(tiling.OrderMorton)
+	base := grid.Traversal()
 	queues := make([][]int, numRUs)
 	for i := range queues {
 		q := make([]int, len(base))

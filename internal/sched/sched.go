@@ -46,7 +46,7 @@ func NewSingleQueue(order []int, name string) *SingleQueue {
 
 // NewZOrderQueue is the baseline: all tiles in Morton order.
 func NewZOrderQueue(grid tiling.Grid) *SingleQueue {
-	return NewSingleQueue(grid.Traversal(tiling.OrderMorton), "zorder")
+	return NewSingleQueue(grid.Traversal(), "zorder")
 }
 
 // NextTile implements Scheduler.

@@ -116,9 +116,6 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Admission returns the server's limiter (stats and tests).
-func (s *Server) Admission() *Admission { return s.adm }
-
 // Sims returns the simulations executed across every runner — 0 on a fully
 // warm store, which is exactly what the CI smoke test asserts.
 func (s *Server) Sims() int64 {

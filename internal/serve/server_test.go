@@ -192,7 +192,7 @@ func TestRunBackpressure429(t *testing.T) {
 	go do("Jet")
 	<-started // leader admitted and inside the stub
 	go do("SuS")
-	waitFor(t, func() bool { return s.Admission().Waiting() == 1 })
+	waitFor(t, func() bool { return s.adm.Waiting() == 1 })
 
 	resp, raw := postRun(t, ts.URL, tinyBody("Gra", 4))
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -344,7 +344,7 @@ func TestConcurrentRunWithCancellation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("canary after cancellation storm: %d, body %s", resp.StatusCode, raw)
 	}
-	if w := s.Admission().Waiting(); w != 0 {
+	if w := s.adm.Waiting(); w != 0 {
 		t.Errorf("queue not drained after storm: waiting = %d", w)
 	}
 	t.Logf("storm: %d client-side cancellations, %d sims", cancelled.Load(), s.Sims())

@@ -36,7 +36,7 @@ import (
 	"repro/internal/tiling"
 )
 
-// renderFarm owns one private Renderer per worker. Renderers carry no
+// renderFarm gives each worker a private Renderer. Renderers carry no
 // cross-tile state (buffers reset per tile), so any worker may render any
 // tile; private instances exist only to keep the scratch Z/Color buffers
 // race-free. The per-tile work slots persist across frames: each slot's
@@ -59,10 +59,12 @@ type renderFarm struct {
 	panicked any // first worker panic, re-raised after the barrier
 }
 
-// newRenderFarm builds the worker-private renderers for cfg.Workers workers.
-func newRenderFarm(cfg Config, grid tiling.Grid) *renderFarm {
-	f := &renderFarm{}
-	for i := 0; i < cfg.Workers; i++ {
+// newRenderFarm builds the renderers of cfg.Workers workers. Worker 0 takes
+// first, the engine's renderer, which the inline path leaves alone while the
+// farm renders every frame.
+func newRenderFarm(cfg Config, grid tiling.Grid, first *raster.Renderer) *renderFarm {
+	f := &renderFarm{renderers: []*raster.Renderer{first}}
+	for len(f.renderers) < cfg.Workers {
 		r := raster.NewRenderer(grid)
 		r.SetFiltering(cfg.Filtering)
 		f.renderers = append(f.renderers, r)

@@ -163,6 +163,11 @@ type Engine struct {
 	tileCache *cache.Cache
 	rus       []*rasterUnit
 
+	// renderer rasterizes tiles for every Raster Unit on the serial path:
+	// beginTile renders a unit's whole tile before any other unit steps, so
+	// it never holds two tiles at once. With the farm it is worker 0.
+	renderer *raster.Renderer
+
 	// farm, when non-nil, pre-renders tile work on a worker pool before the
 	// timing replay (Config.Workers > 1); nil selects the serial reference
 	// path in which each Raster Unit rasterizes its own tiles inline.
@@ -215,9 +220,8 @@ func (r *warpRing) push(v int64) {
 }
 
 type rasterUnit struct {
-	id       int
-	renderer *raster.Renderer
-	texL1    []*cache.Cache
+	id    int
+	texL1 []*cache.Cache
 
 	now      int64
 	coreFree []int64
@@ -259,18 +263,18 @@ func NewEngine(cfg Config, grid tiling.Grid, hier *mem.Hierarchy) *Engine {
 		grid:      grid,
 		hier:      hier,
 		tileCache: cache.New(cfg.TileCache),
+		renderer:  raster.NewRenderer(grid),
 	}
+	e.renderer.SetFiltering(cfg.Filtering)
 	for i := 0; i < cfg.RasterUnits; i++ {
 		ru := &rasterUnit{
 			id:       i,
-			renderer: raster.NewRenderer(grid),
 			coreFree: make([]int64, cfg.CoresPerRU),
 			rings:    make([]warpRing, cfg.CoresPerRU),
 		}
 		for c := range ru.rings {
 			ru.rings[c].buf = make([]int64, cfg.WarpsPerCore)
 		}
-		ru.renderer.SetFiltering(cfg.Filtering)
 		for c := 0; c < cfg.CoresPerRU; c++ {
 			l1cfg := cfg.TexL1
 			l1cfg.Name = texCacheName(i, c)
@@ -279,7 +283,7 @@ func NewEngine(cfg Config, grid tiling.Grid, hier *mem.Hierarchy) *Engine {
 		e.rus = append(e.rus, ru)
 	}
 	if cfg.Workers > 1 {
-		e.farm = newRenderFarm(cfg, grid)
+		e.farm = newRenderFarm(cfg, grid, e.renderer)
 	}
 	return e
 }
@@ -459,7 +463,7 @@ func (e *Engine) beginTile(ru *rasterUnit, in FrameInput, tile int) {
 	if in.Works != nil {
 		ru.work = &in.Works[tile]
 	} else {
-		ru.renderer.RenderTileInto(&ru.scratch, in.Scene, in.Prims, in.Lists.Lists[tile], tile, in.FB)
+		e.renderer.RenderTileInto(&ru.scratch, in.Scene, in.Prims, in.Lists.Lists[tile], tile, in.FB)
 		ru.work = &ru.scratch
 	}
 	if in.OnTileWork != nil {

@@ -74,7 +74,7 @@ func testFrame(t testing.TB, grid tiling.Grid) (*scene.Scene, []gpipe.Primitive,
 		}
 		emitQuad(2+2*i, fw/2, 0, fw, fh, 0.5, 1, 1)
 	}
-	lists := tiling.Bin(grid, prims)
+	lists := new(tiling.Binner).Bin(grid, prims)
 	return sc, prims, lists
 }
 
@@ -259,7 +259,7 @@ func TestResetFrameStats(t *testing.T) {
 		if c.Stats().Accesses != 0 {
 			t.Error("texture cache stats survived reset")
 		}
-		if c.ValidLines() == 0 {
+		if len(c.AppendLines(nil)) == 0 {
 			t.Error("cache contents should persist across frames")
 		}
 	}

@@ -29,7 +29,7 @@ type TraceConfig struct {
 	// the registry (default 5000, the Fig. 7 interval).
 	MetricsInterval int64
 	// MaxEvents caps the retained trace events so a long run cannot exhaust
-	// memory; further events are dropped (counted by Dropped) while the
+	// memory; further events are dropped (counted in dropped) while the
 	// metrics registry keeps accumulating. Default 1<<20.
 	MaxEvents int
 }
@@ -153,20 +153,6 @@ func NewTrace(cfg TraceConfig) *Trace {
 		ruSeen:      map[int]bool{},
 		bankSeen:    map[int]bool{},
 	}
-}
-
-// Events returns how many trace events are retained.
-func (t *Trace) Events() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// Dropped returns how many events were discarded after MaxEvents.
-func (t *Trace) Dropped() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // us converts a cycle count to trace microseconds.
@@ -375,9 +361,6 @@ func (t *Trace) CacheAccess(level CacheLevel, cycle int64, hit bool) {
 		misses.Observe(cycle, 1)
 	}
 }
-
-// MetricsSnapshot copies the registry.
-func (t *Trace) MetricsSnapshot() Snapshot { return t.reg.Snapshot() }
 
 // ExportMetrics writes the registry snapshot as indented JSON.
 func (t *Trace) ExportMetrics(w io.Writer) error {

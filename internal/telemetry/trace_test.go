@@ -136,7 +136,7 @@ func TestTraceRoundTrip(t *testing.T) {
 func TestTraceMetrics(t *testing.T) {
 	tr := newTestTrace()
 	drive(tr)
-	s := tr.MetricsSnapshot()
+	s := tr.reg.Snapshot()
 
 	for name, want := range map[string]int64{
 		"frames":          1,
@@ -175,14 +175,14 @@ func TestTraceMaxEvents(t *testing.T) {
 		tr.TileSpan(0, i, int64(i*10), int64(i*10+5), 1, 0)
 	}
 	tr.EndFrame(100)
-	if got := tr.Events(); got != 4 {
-		t.Errorf("Events() = %d, want 4 (MaxEvents)", got)
+	if got := len(tr.events); got != 4 {
+		t.Errorf("retained events = %d, want 4 (MaxEvents)", got)
 	}
-	if got := tr.Dropped(); got != 7 { // 6 spans + the frame span
-		t.Errorf("Dropped() = %d, want 7", got)
+	if got := tr.dropped; got != 7 { // 6 spans + the frame span
+		t.Errorf("dropped = %d, want 7", got)
 	}
 	// The registry keeps counting even after the event cap.
-	if got := tr.MetricsSnapshot().Counters["ru0.tiles"]; got != 10 {
+	if got := tr.reg.Snapshot().Counters["ru0.tiles"]; got != 10 {
 		t.Errorf("ru0.tiles = %d, want 10", got)
 	}
 	var buf bytes.Buffer
@@ -224,7 +224,7 @@ func TestTraceConcurrent(t *testing.T) {
 	if !json.Valid(buf.Bytes()) {
 		t.Error("concurrent export is not valid JSON")
 	}
-	s := tr.MetricsSnapshot()
+	s := tr.reg.Snapshot()
 	if got := s.Counters["sched.assigned"]; got != 8*200 {
 		t.Errorf("sched.assigned = %d, want %d", got, 8*200)
 	}
@@ -249,7 +249,7 @@ func TestTraceTileSkipped(t *testing.T) {
 	tr.TileSpan(0, 0, 4, 100, 3, 1)
 	tr.EndFrame(120)
 
-	s := tr.MetricsSnapshot()
+	s := tr.reg.Snapshot()
 	if got := s.Counters["re.tiles_skipped"]; got != 2 {
 		t.Errorf("re.tiles_skipped = %d, want 2", got)
 	}
@@ -284,7 +284,7 @@ func TestTraceTileSkipped(t *testing.T) {
 	// No skips → no re.* registry entries.
 	clean := newTestTrace()
 	drive(clean)
-	cs := clean.MetricsSnapshot()
+	cs := clean.reg.Snapshot()
 	if _, ok := cs.Counters["re.tiles_skipped"]; ok {
 		t.Error("skip-free trace materialized re.tiles_skipped")
 	}

@@ -27,15 +27,6 @@ type TileLists struct {
 	Binned int
 }
 
-// Bin runs the Polygon List Builder: each primitive is appended (in program
-// order) to the list of every tile its screen bounding box overlaps. The
-// conservative bbox test matches the hardware's coarse binning rasterizer.
-// Each call allocates fresh lists; the frame loop reuses a Binner instead.
-func Bin(grid Grid, prims []gpipe.Primitive) *TileLists {
-	var b Binner
-	return b.Bin(grid, prims)
-}
-
 // Binner is a reusable Polygon List Builder: the per-tile lists keep their
 // backing arrays between frames, so steady-state binning allocates nothing
 // once the lists reach the scene's watermark. The TileLists returned by Bin
@@ -44,7 +35,10 @@ type Binner struct {
 	tl TileLists
 }
 
-// Bin bins prims into the grid, reusing the Binner's per-tile list storage.
+// Bin runs the Polygon List Builder: each primitive is appended (in program
+// order) to the list of every tile its screen bounding box overlaps. The
+// conservative bbox test matches the hardware's coarse binning rasterizer.
+// The lists reuse the Binner's per-tile storage.
 //
 //libra:hotpath
 //libra:transient
@@ -78,19 +72,4 @@ func (bn *Binner) Bin(grid Grid, prims []gpipe.Primitive) *TileLists {
 	}
 	tl.PBBytes = next - mem.ParamBase
 	return tl
-}
-
-// WriteAddrs returns the distinct Parameter Buffer line addresses written
-// during binning (the Polygon List Builder's store traffic, which flows
-// through the Tile cache during the geometry phase).
-func (tl *TileLists) WriteAddrs() []uint64 {
-	if tl.PBBytes == 0 {
-		return nil
-	}
-	n := int((tl.PBBytes + 63) / 64)
-	addrs := make([]uint64, n)
-	for i := range addrs {
-		addrs[i] = mem.ParamBase + uint64(i*64)
-	}
-	return addrs
 }

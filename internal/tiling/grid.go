@@ -57,29 +57,18 @@ func (g Grid) TilesCovering(r geom.Rect) (tx0, ty0, tx1, ty1 int) {
 	return r.MinX / TileSize, r.MinY / TileSize, r.MaxX / TileSize, r.MaxY / TileSize
 }
 
-// Order is a tile traversal order.
-type Order int
-
-// Tile traversal orders (§II-B).
-const (
-	OrderScanline Order = iota // row-major
-	OrderMorton                // Z-order (the baseline of this work)
-)
-
-// Traversal returns the tile ids of the grid in the requested order. Every
-// tile appears exactly once.
-func (g Grid) Traversal(o Order) []int {
+// Traversal returns the tile ids of the grid in Z-order, the baseline
+// traversal of this work (§II-B). Every tile appears exactly once.
+func (g Grid) Traversal() []int {
 	ids := make([]int, g.NumTiles())
 	for i := range ids {
 		ids[i] = i
 	}
-	if o == OrderMorton {
-		sort.Slice(ids, func(a, b int) bool {
-			ax, ay := g.TileCoord(ids[a])
-			bx, by := g.TileCoord(ids[b])
-			return MortonEncode(uint32(ax), uint32(ay)) < MortonEncode(uint32(bx), uint32(by))
-		})
-	}
+	sort.Slice(ids, func(a, b int) bool {
+		ax, ay := g.TileCoord(ids[a])
+		bx, by := g.TileCoord(ids[b])
+		return MortonEncode(uint32(ax), uint32(ay)) < MortonEncode(uint32(bx), uint32(by))
+	})
 	return ids
 }
 

@@ -1,5 +1,5 @@
 // Package tiling implements the Tiling Engine of the TBR GPU (§II-A/B): the
-// screen tile grid, the Morton (Z-order) and scanline traversal orders, the
+// screen tile grid, the Morton (Z-order) and Hilbert traversal orders, the
 // Polygon List Builder that bins primitives into per-tile lists stored in the
 // Parameter Buffer, and the supertile aggregation of §III-C.
 package tiling

@@ -180,7 +180,7 @@ func TestTileSignatureDistinguishes(t *testing.T) {
 func TestAppendTileSignaturesReuse(t *testing.T) {
 	_, prims, sc := buildSigInputs(3, 40)
 	grid := NewGrid(320, 192)
-	lists := Bin(grid, prims)
+	lists := new(Binner).Bin(grid, prims)
 
 	fresh := AppendTileSignatures(nil, lists, prims, sc, 9)
 	if len(fresh) != grid.NumTiles() {

@@ -76,18 +76,16 @@ func TestTileRectClamped(t *testing.T) {
 
 func TestTraversalVisitsEveryTileOnce(t *testing.T) {
 	g := NewGrid(960, 544)
-	for _, o := range []Order{OrderScanline, OrderMorton} {
-		seen := make([]bool, g.NumTiles())
-		for _, id := range g.Traversal(o) {
-			if seen[id] {
-				t.Fatalf("order %d visits tile %d twice", o, id)
-			}
-			seen[id] = true
+	seen := make([]bool, g.NumTiles())
+	for _, id := range g.Traversal() {
+		if seen[id] {
+			t.Fatalf("traversal visits tile %d twice", id)
 		}
-		for id, s := range seen {
-			if !s {
-				t.Fatalf("order %d misses tile %d", o, id)
-			}
+		seen[id] = true
+	}
+	for id, s := range seen {
+		if !s {
+			t.Fatalf("traversal misses tile %d", id)
 		}
 	}
 }
@@ -112,7 +110,11 @@ func TestMortonTraversalLocality(t *testing.T) {
 		}
 		return sum / float64(len(ids)-1)
 	}
-	if dist(g.Traversal(OrderMorton)) >= dist(g.Traversal(OrderScanline)) {
+	scanline := make([]int, g.NumTiles()) // row-major
+	for i := range scanline {
+		scanline[i] = i
+	}
+	if dist(g.Traversal()) >= dist(scanline) {
 		// Scanline has distance ~1 except at row ends; Morton is also ~low.
 		// The real claim: Morton's max jump is bounded; compare windowed
 		// working sets instead — Morton revisits nearby rows sooner.
@@ -192,7 +194,7 @@ func prim(x0, y0, x1, y1, x2, y2 float32) gpipe.Primitive {
 func TestBinSingleTile(t *testing.T) {
 	g := NewGrid(128, 128)
 	prims := []gpipe.Primitive{prim(2, 2, 20, 2, 2, 20)} // inside tile (0,0)
-	tl := Bin(g, prims)
+	tl := new(Binner).Bin(g, prims)
 	if len(tl.Lists[0]) != 1 {
 		t.Fatalf("tile 0 list = %d entries, want 1", len(tl.Lists[0]))
 	}
@@ -209,7 +211,7 @@ func TestBinSingleTile(t *testing.T) {
 func TestBinSpanningPrimitive(t *testing.T) {
 	g := NewGrid(128, 128)                                 // 4x4 tiles
 	prims := []gpipe.Primitive{prim(0, 0, 127, 0, 0, 127)} // covers everything (bbox)
-	tl := Bin(g, prims)
+	tl := new(Binner).Bin(g, prims)
 	if tl.Binned != 16 {
 		t.Errorf("binned = %d, want 16 (bbox covers all tiles)", tl.Binned)
 	}
@@ -222,7 +224,7 @@ func TestBinPreservesProgramOrder(t *testing.T) {
 		prim(2, 2, 31, 2, 2, 31),
 		prim(3, 3, 32, 3, 3, 32),
 	}
-	tl := Bin(g, prims)
+	tl := new(Binner).Bin(g, prims)
 	list := tl.Lists[0]
 	for i := 1; i < len(list); i++ {
 		if list[i].Prim <= list[i-1].Prim {
@@ -237,7 +239,7 @@ func TestBinAddressesUniqueAndOrdered(t *testing.T) {
 		prim(0, 0, 127, 0, 0, 127),
 		prim(10, 10, 50, 10, 10, 50),
 	}
-	tl := Bin(g, prims)
+	tl := new(Binner).Bin(g, prims)
 	seen := map[uint64]bool{}
 	for _, list := range tl.Lists {
 		for _, ref := range list {
@@ -247,15 +249,12 @@ func TestBinAddressesUniqueAndOrdered(t *testing.T) {
 			seen[ref.Addr] = true
 		}
 	}
-	if len(tl.WriteAddrs()) != int((tl.PBBytes+63)/64) {
-		t.Error("WriteAddrs length mismatch")
-	}
 }
 
 func TestBinOffscreenPrimitiveIgnored(t *testing.T) {
 	g := NewGrid(64, 64)
 	p := prim(-100, -100, -50, -100, -100, -50)
-	tl := Bin(g, []gpipe.Primitive{p})
+	tl := new(Binner).Bin(g, []gpipe.Primitive{p})
 	if tl.Binned != 0 {
 		t.Errorf("offscreen primitive binned %d times", tl.Binned)
 	}

@@ -73,7 +73,7 @@ func FuzzWorkloadGen(f *testing.F) {
 		sc := g.BuildFrame(frame)
 		prims, _ := fuzzPipeline().Run(sc, ws, hs, 0)
 		grid := tiling.NewGrid(ws, hs)
-		lists := tiling.Bin(grid, prims)
+		lists := new(tiling.Binner).Bin(grid, prims)
 
 		// Polygon List Builder invariants.
 		if len(lists.Lists) != grid.NumTiles() {
@@ -154,7 +154,7 @@ func FuzzWorkloadGen(f *testing.F) {
 		// identical workload from scratch.
 		sc2 := p.New().BuildFrame(frame)
 		prims2, _ := fuzzPipeline().Run(sc2, ws, hs, 0)
-		lists2 := tiling.Bin(grid, prims2)
+		lists2 := new(tiling.Binner).Bin(grid, prims2)
 		if len(prims2) != len(prims) || lists2.Binned != lists.Binned || lists2.PBBytes != lists.PBBytes {
 			t.Fatalf("regeneration diverged: %d/%d/%d prims/binned/PB vs %d/%d/%d",
 				len(prims2), lists2.Binned, lists2.PBBytes, len(prims), lists.Binned, lists.PBBytes)

@@ -64,7 +64,7 @@ func TestTraceRealFrame(t *testing.T) {
 	}
 
 	// The metrics registry must agree with the simulator's own accounting.
-	s := tr.MetricsSnapshot()
+	s := exportedMetrics(t, tr)
 	if s.Counters["frames"] != 1 {
 		t.Errorf("frames = %d, want 1", s.Counters["frames"])
 	}
@@ -140,7 +140,7 @@ func TestRenderElimAcceptance(t *testing.T) {
 	if skipped == 0 {
 		t.Fatal("coherent profile skipped no tiles")
 	}
-	s := tr.MetricsSnapshot()
+	s := exportedMetrics(t, tr)
 	if got := s.Counters["re.tiles_skipped"]; got != skipped {
 		t.Errorf("re.tiles_skipped = %d but frame results report %d", got, skipped)
 	}
@@ -158,4 +158,19 @@ func TestRenderElimAcceptance(t *testing.T) {
 	if onCycles >= offCycles {
 		t.Errorf("RE on is not faster: %d cycles vs %d off", onCycles, offCycles)
 	}
+}
+
+// exportedMetrics decodes tr's ExportMetrics output: the registry snapshot
+// that -metrics-out writes.
+func exportedMetrics(t *testing.T, tr *telemetry.Trace) telemetry.Snapshot {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.ExportMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var s telemetry.Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
