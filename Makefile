@@ -188,5 +188,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 15s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSpanWalk -fuzztime 15s ./internal/raster
 	$(GO) test -run '^$$' -fuzz FuzzRendererReuse -fuzztime 15s ./internal/raster
+	$(GO) test -run '^$$' -fuzz FuzzLRUReference -fuzztime 15s ./internal/mem/cache
 
 ci: build vet fmt lint lint-fix-check test simbench-test race bench bench-gate determinism trace-smoke store-smoke serve-smoke fuzz cover

@@ -31,6 +31,7 @@ func main() {
 	cli.ParseCommandLine()
 
 	cfg := cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH))
+	cli.Refuse(cfg.Validate())
 	run, err := libra.NewRun(cfg, *game)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -59,14 +59,14 @@ func main() {
 	case *experiment != "":
 		cli.P = experimentParams(cli.P, *paper)
 		// Every configuration an experiment runs has this screen and L2.
-		refuse(cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH)).Validate())
+		cli.Refuse(cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH)).Validate())
 		runExperiments(cli, *experiment, *format, *traceOut, *metricsOut)
 	case *game != "":
 		cfg := cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH))
 		cfg.RasterUnits = *rus
 		cfg.CoresPerRU = *cores
 		cfg.Policy = libra.Policy(*policy)
-		refuse(cfg.Validate())
+		cli.Refuse(cfg.Validate())
 		singleRun(cli, cfg, *game, *heat, *jsonOut, *screenshot, *traceOut, *metricsOut)
 	default:
 		flag.Usage()
@@ -97,15 +97,6 @@ func experimentParams(given experiments.Params, paper bool) experiments.Params {
 	})
 	p.SimWorkers, p.RenderElim = given.SimWorkers, given.RenderElim
 	return p
-}
-
-// refuse ends the run before anything simulates when err reports a
-// configuration no simulation can run with: one librasim line, exit 2.
-func refuse(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "librasim: %v\n", err)
-		os.Exit(2)
-	}
 }
 
 func printSuite() {

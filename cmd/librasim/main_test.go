@@ -50,7 +50,9 @@ func TestBadValuesRefused(t *testing.T) {
 		{"-game", "SuS", "-cores", "0"},
 		{"-game", "SuS", "-policy", "bogus"},
 		{"-game", "SuS", "-w", "0"},
+		{"-game", "SuS", "-l2kb", "131072"},
 		{"-experiment", "fig02", "-w", "0"},
+		{"-experiment", "fig02", "-l2kb", "131072"},
 	} {
 		code, stdout, stderr := librasim(t, args...)
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "librasim: ") || strings.Count(stderr, "\n") != 1 {

@@ -72,6 +72,9 @@ func main() {
 		{"ptr", r.PTR(2)},
 		{"libra", r.LIBRA(2)},
 	}
+	for _, c := range configs {
+		cli.Refuse(c.cfg.Validate())
+	}
 
 	// One (game, config) pair may carry the telemetry recorder; its trace
 	// is written after the pool drains. Store hits are not re-simulated and

@@ -68,8 +68,7 @@ func main() {
 	for i, v := range points {
 		cfg := point(base, *axis, v)
 		if err := cfg.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %s=%d: %v\n", *axis, v, err)
-			os.Exit(2)
+			cli.Refuse(fmt.Errorf("%s=%d: %w", *axis, v, err))
 		}
 		jobs[i] = experiments.Job{Cfg: cfg, Game: *game}
 	}

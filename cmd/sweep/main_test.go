@@ -1,11 +1,52 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 
 	libra "repro"
 )
+
+// TestMain runs main itself, with the process's arguments, when SWEEP_MAIN
+// is set: TestBadPointsRefused starts the test binary that way to observe a
+// real invocation's exit status and output.
+func TestMain(m *testing.M) {
+	if os.Getenv("SWEEP_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadPointsRefused pins that a sweep point no simulation can run with,
+// an L2 above libra.MaxL2KB or one no cache can be built from, exits 2
+// with one sweep line before any point simulates.
+func TestBadPointsRefused(t *testing.T) {
+	for _, values := range []string{"131072", "256,576"} {
+		args := []string{"-axis", "l2kb", "-values", values, "-frames", "2", "-quiet"}
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "SWEEP_MAIN=1", "LIBRA_RESULT_DIR=")
+		var out, errOut bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &errOut
+		code := 0
+		var exit *exec.ExitError
+		if err := cmd.Run(); errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		stderr := errOut.String()
+		if code != 2 || out.Len() != 0 || !strings.HasPrefix(stderr, "sweep: ") || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("sweep %s: exit %d, stdout %q, stderr %q; want exit 2 and one sweep line",
+				strings.Join(args, " "), code, out.String(), stderr)
+		}
+	}
+}
 
 func TestParsePoints(t *testing.T) {
 	cases := []struct {

@@ -101,7 +101,8 @@ type Config struct {
 	// L2KB overrides the shared L2 capacity in KiB (default: Table I's
 	// 2048). Scaled-down screens should scale the L2 with screen area so
 	// the cache-to-working-set ratio of the FHD evaluation is preserved.
-	// Validate refuses the values ValidateL2KB does.
+	// Validate refuses the values ValidateL2KB does, among them any above
+	// MaxL2KB.
 	L2KB int
 
 	// IdealMemory makes every L1 access hit (used to measure the memory
@@ -212,12 +213,21 @@ func (c Config) Validate() error {
 	return ValidateL2KB(c.L2KB)
 }
 
+// MaxL2KB bounds Config.L2KB: 64 MiB, 32× Table I's L2. The cache's tag
+// arrays are allocated when a simulation is built, so without a bound a
+// configuration decoded from a flag or a network request could ask for
+// gigabytes before anything checks it.
+const MaxL2KB = 64 * 1024
+
 // ValidateL2KB reports whether a Config.L2KB value selects a shared L2 that
-// can be built: not negative, and with Table I's line size and
+// can be built: in [0, MaxL2KB], and with Table I's line size and
 // associativity a power-of-two set count (576 KiB, for one, is not).
 func ValidateL2KB(kb int) error {
 	if kb < 0 {
 		return fmt.Errorf("libra: negative L2 size %d KiB", kb)
+	}
+	if kb > MaxL2KB {
+		return fmt.Errorf("libra: L2 of %d KiB exceeds the %d KiB bound", kb, MaxL2KB)
 	}
 	if err := l2Config(core.DefaultConfig(0, 0).L2, kb).Validate(); err != nil {
 		return fmt.Errorf("libra: L2 of %d KiB: %w", kb, err)

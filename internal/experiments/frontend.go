@@ -123,7 +123,15 @@ func (c *CLI) Parse(fs *flag.FlagSet, args []string) error {
 // ParseCommandLine is Parse over the process's own flags and arguments. An
 // invalid value exits 2 with a one-line error, before anything simulates.
 func (c *CLI) ParseCommandLine() {
-	if err := c.Parse(flag.CommandLine, os.Args[1:]); err != nil {
+	c.Refuse(c.Parse(flag.CommandLine, os.Args[1:]))
+}
+
+// Refuse ends the run before anything simulates when err reports a value or
+// a configuration no simulation can run with: one line prefixed with the
+// front-end's name on stderr, exit 2. A nil err does nothing. Front-ends
+// pass it the Validate of every libra.Config they build from their flags.
+func (c *CLI) Refuse(err error) {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", c.Name, err)
 		os.Exit(2)
 	}

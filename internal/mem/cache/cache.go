@@ -185,6 +185,22 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	return res
 }
 
+// HitMRU is the read hit of Access(addr, false) when addr's line is its
+// set's most recently used line: it counts the access and the hit, which
+// is all such a hit changes, and reports true. Otherwise it changes nothing
+// and reports false, and the caller goes through Access. It is small enough
+// to inline into a replay loop, where most hits are on that line.
+func (c *Cache) HitMRU(addr uint64) bool {
+	tag := addr >> c.lineShift
+	set := int(tag & c.setMask)
+	if c.valid[set] == 0 || c.tags[set*c.cfg.Ways] != tag {
+		return false
+	}
+	c.stats.Accesses++
+	c.stats.Hits++
+	return true
+}
+
 // Install allocates the line containing addr without touching the demand
 // statistics — the fill path used by prefetchers. Returns eviction info like
 // Access. Installing an already-resident line refreshes its LRU position.

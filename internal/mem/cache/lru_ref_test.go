@@ -130,70 +130,158 @@ func (c *refCache) AppendLines(dst []uint64) []uint64 {
 	return dst
 }
 
+// isMRU reports whether addr's line is resident and the most recently used
+// line of its set: the valid way with the largest tick.
+func (c *refCache) isMRU(addr uint64) bool {
+	tag := addr >> c.lineShift
+	mru := -1
+	ways := c.set(tag)
+	for i := range ways {
+		if ways[i].valid && (mru < 0 || ways[i].lastUse > ways[mru].lastUse) {
+			mru = i
+		}
+	}
+	return mru >= 0 && ways[mru].tag == tag
+}
+
+// lruGeometries are the sets × ways shapes of the differential tests, from
+// direct mapped to fully associative (the last).
+var lruGeometries = []struct{ sets, ways int }{
+	{4, 1}, {4, 2}, {4, 4}, {2, 8}, {2, 16}, {1, 24},
+}
+
+// lruOpKinds is the op mix of a differential stream: an op drawn as k in
+// [0, len(lruOpKinds)) is lruOpKinds[k], so reads are 4 in 12, writes 3,
+// installs 2, probes 1 and MRU probes 2.
+var lruOpKinds = []string{
+	"read", "read", "read", "read", "write", "write", "write",
+	"install", "install", "contains", "hitmru", "hitmru",
+}
+
+// lruOp is one operation of a differential stream.
+type lruOp struct {
+	kind string // an entry of lruOpKinds
+	addr uint64
+}
+
+// candidateAddrs returns the addresses a differential stream on cfg draws
+// from: 0 and the top of the address space, plus lines spread over every
+// set with up to twice as many tags per set as ways, each at a random
+// offset within its line. A stream over them fills sets, hits at every
+// recency rank and evicts.
+func candidateAddrs(cfg Config, sets int, rng *rand.Rand) []uint64 {
+	addrs := []uint64{0, ^uint64(0)}
+	for tag := 0; tag < 2*cfg.Ways*sets; tag++ {
+		line := uint64(tag) + uint64(rng.Intn(4))<<40
+		addrs = append(addrs, line*uint64(cfg.LineBytes)+uint64(rng.Intn(cfg.LineBytes)))
+	}
+	return addrs
+}
+
 // TestMatchesReferenceLRU drives the cache and the timestamp reference with
-// the same seeded streams of reads, writes, installs and probes, and
-// compares every result, the statistics and the resident lines (and so the
-// occupancy) after each operation. Each stream draws from a few more lines
-// than a set holds, so sets fill, hit at every recency rank and evict.
+// the same seeded streams of reads, writes, installs, probes and MRU
+// probes (checkAgainstReference) at every geometry of lruGeometries, with
+// 1- and 64-byte lines.
 func TestMatchesReferenceLRU(t *testing.T) {
 	for _, lineBytes := range []int{1, 64} {
-		for _, geo := range []struct{ sets, ways int }{
-			{4, 1}, {4, 2}, {4, 4}, {2, 8}, {2, 16}, {1, 24}, // last: fully associative
-		} {
-			cfg := Config{Name: "diff", SizeBytes: geo.sets * geo.ways * lineBytes, LineBytes: lineBytes, Ways: geo.ways}
+		for _, geo := range lruGeometries {
 			t.Run(fmt.Sprintf("line%d/%dx%d", lineBytes, geo.sets, geo.ways), func(t *testing.T) {
 				for seed := int64(1); seed <= 4; seed++ {
-					compareWithReference(t, cfg, geo.sets, seed)
+					cfg := Config{Name: fmt.Sprintf("seed %d", seed), SizeBytes: geo.sets * geo.ways * lineBytes, LineBytes: lineBytes, Ways: geo.ways}
+					rng := rand.New(rand.NewSource(seed))
+					addrs := candidateAddrs(cfg, geo.sets, rng)
+					// The stream first probes every candidate in the empty
+					// cache, where each set's first slot holds a zero tag
+					// and no line.
+					var ops []lruOp
+					for _, a := range addrs {
+						ops = append(ops, lruOp{kind: "hitmru", addr: a})
+					}
+					for range 3000 {
+						ops = append(ops, lruOp{kind: lruOpKinds[rng.Intn(len(lruOpKinds))], addr: addrs[rng.Intn(len(addrs))]})
+					}
+					checkAgainstReference(t, cfg, ops)
 				}
 			})
 		}
 	}
 }
 
-func compareWithReference(t *testing.T, cfg Config, sets int, seed int64) {
+// FuzzLRUReference runs checkAgainstReference on fuzzed streams. The first
+// byte picks the line size and geometry, and seeds the candidate
+// addresses; each following pair of bytes is one op: its kind, then its
+// address among the candidates.
+func FuzzLRUReference(f *testing.F) {
+	f.Add([]byte{0, 10, 0, 10, 1, 0, 0, 10, 0, 0, 1, 10, 1})
+	f.Add([]byte{5, 4, 2, 10, 2, 7, 3, 10, 2, 11, 3, 0, 1, 10, 1})
+	f.Add([]byte{11, 4, 2, 4, 3, 4, 4, 10, 2, 0, 1, 11, 1, 8, 5, 10, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := int(data[0]) % (2 * len(lruGeometries))
+		geo := lruGeometries[g%len(lruGeometries)]
+		lineBytes := []int{1, 64}[g/len(lruGeometries)]
+		cfg := Config{Name: "fuzz", SizeBytes: geo.sets * geo.ways * lineBytes, LineBytes: lineBytes, Ways: geo.ways}
+		addrs := candidateAddrs(cfg, geo.sets, rand.New(rand.NewSource(int64(data[0]))))
+		var ops []lruOp
+		for i := 1; i+1 < len(data); i += 2 {
+			ops = append(ops, lruOp{
+				kind: lruOpKinds[int(data[i])%len(lruOpKinds)],
+				addr: addrs[int(data[i+1])%len(addrs)],
+			})
+		}
+		checkAgainstReference(t, cfg, ops)
+	})
+}
+
+// checkAgainstReference applies ops to a new cache and a new reference on
+// cfg and compares every result, the statistics and the resident lines
+// (and so the occupancy) after each op; cfg.Name labels its failures. An
+// MRU probe must report true exactly when the reference holds addr's line
+// as its set's most recently used; then the reference takes
+// Access(addr, false), and otherwise nothing, so the comparisons that
+// follow hold the probe to changing what that read would and nothing else.
+func checkAgainstReference(t *testing.T, cfg Config, ops []lruOp) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	// Candidate addresses: 0 and the top of the address space, plus lines
-	// spread over every set with up to twice as many tags per set as ways,
-	// each at a random offset within its line.
-	addrs := []uint64{0, ^uint64(0)}
-	for tag := 0; tag < 2*cfg.Ways*sets; tag++ {
-		line := uint64(tag) + uint64(rng.Intn(4))<<40
-		addrs = append(addrs, line*uint64(cfg.LineBytes)+uint64(rng.Intn(cfg.LineBytes)))
-	}
 	c, ref := New(cfg), newRefCache(cfg)
 	var got, want []uint64
-	for op := 0; op < 3000; op++ {
-		addr := addrs[rng.Intn(len(addrs))]
+	for i, op := range ops {
+		addr := op.addr
 		var r, rr Result
-		var what string
-		switch k := rng.Intn(10); {
-		case k < 4:
-			what = "read"
+		switch op.kind {
+		case "read":
 			r, rr = c.Access(addr, false), ref.Access(addr, false)
-		case k < 7:
-			what = "write"
+		case "write":
 			r, rr = c.Access(addr, true), ref.Access(addr, true)
-		case k < 9:
-			what = "install"
+		case "install":
 			r, rr = c.Install(addr), ref.Install(addr)
-		default:
-			what = "contains"
+		case "contains":
 			if in, rin := c.Contains(addr), ref.Contains(addr); in != rin {
-				t.Fatalf("seed %d op %d: Contains(%#x) = %v, reference %v", seed, op, addr, in, rin)
+				t.Fatalf("%s op %d: Contains(%#x) = %v, reference %v", cfg.Name, i, addr, in, rin)
+			}
+		case "hitmru":
+			hit, mru := c.HitMRU(addr), ref.isMRU(addr)
+			if hit != mru {
+				t.Fatalf("%s op %d: HitMRU(%#x) = %v, reference holds it most recently used: %v", cfg.Name, i, addr, hit, mru)
+			}
+			if hit {
+				if rr := ref.Access(addr, false); !rr.Hit {
+					t.Fatalf("%s op %d: HitMRU(%#x) hit, reference read %+v", cfg.Name, i, addr, rr)
+				}
 			}
 		}
 		if r != rr {
-			t.Fatalf("seed %d op %d: %s(%#x) = %+v, reference %+v", seed, op, what, addr, r, rr)
+			t.Fatalf("%s op %d: %s(%#x) = %+v, reference %+v", cfg.Name, i, op.kind, addr, r, rr)
 		}
 		if c.Stats() != ref.stats {
-			t.Fatalf("seed %d op %d: stats %+v, reference %+v", seed, op, c.Stats(), ref.stats)
+			t.Fatalf("%s op %d: %s(%#x): stats %+v, reference %+v", cfg.Name, i, op.kind, addr, c.Stats(), ref.stats)
 		}
 		got, want = c.AppendLines(got[:0]), ref.AppendLines(want[:0])
 		slices.Sort(got)
 		slices.Sort(want)
 		if !slices.Equal(got, want) {
-			t.Fatalf("seed %d op %d: resident lines %x, reference %x", seed, op, got, want)
+			t.Fatalf("%s op %d: %s(%#x): resident lines %x, reference %x", cfg.Name, i, op.kind, addr, got, want)
 		}
 	}
 }

@@ -118,6 +118,18 @@ func (h *Hierarchy) AccessThroughL1(l1 *cache.Cache, now int64, addr uint64, wri
 	return res
 }
 
+// ReadHitMRU takes a read of addr through l1 and reports true when it hits
+// its set's most recently used line (cache.HitMRU): an L1 hit of l1's hit
+// latency with no DRAM traffic, as AccessThroughL1(l1, now, addr, false)
+// would return and leave it. Otherwise, and whenever a recorder or the
+// next-line prefetcher is on (both act on every L1 access, hits included),
+// it changes nothing and reports false, and the caller calls
+// AccessThroughL1. Under IdealL1 every access is an L1-latency hit, so an
+// MRU hit is one either way. It inlines, so the hit costs no call.
+func (h *Hierarchy) ReadHitMRU(l1 *cache.Cache, addr uint64) bool {
+	return h.Rec == nil && !h.PrefetchNextLine && l1.HitMRU(addr)
+}
+
 // AccessL2 performs a timed access that starts at the shared L2 (used for
 // units without an L1, e.g. color-buffer flush traffic).
 func (h *Hierarchy) AccessL2(now int64, addr uint64, write bool) AccessResult {

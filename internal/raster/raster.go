@@ -286,12 +286,16 @@ func (e *edge) clipRow(py float32, lo, hi int) (int, int) {
 
 // triangle is the setup of one counter-clockwise triangle: its edge
 // functions, whose values at a pixel center times invArea are the
-// barycentrics λ0, λ1, λ2, and the vertex attributes they weight.
+// barycentrics λ0, λ1, λ2, and the vertex attributes they weight, copied
+// out of the vertices so that each interpolation piece below is small
+// enough to inline into the fragment loop.
 type triangle struct {
 	e12, e20, e01 edge // λ0, λ1, λ2
 	invArea       float32
-	v             [3]*geom.Vertex
-	invW          [3]float32
+	z             [3]float32 // vertex depths
+	invW          [3]float32 // vertex 1/w, the perspective weights
+	uvs           [3]geom.Vec2
+	colors        [3]geom.Vec3
 }
 
 // rowSpan returns the first and last column in [lo, hi] whose pixel center
@@ -306,6 +310,12 @@ func (t *triangle) rowSpan(py float32, lo, hi int) (int, int) {
 		lo, hi = t.e01.clipRow(py, lo, hi)
 	}
 	return lo, hi
+}
+
+// depth interpolates the vertex depths with barycentrics l0, l1, l2
+// (linearly: screen-space Z is affine across the triangle).
+func (t *triangle) depth(l0, l1, l2 float32) float32 {
+	return l0*t.z[0] + l1*t.z[1] + l2*t.z[2]
 }
 
 // persp returns the perspective-correct weights q0, q1, q2 of barycentrics
@@ -324,37 +334,24 @@ func (t *triangle) persp(l0, l1, l2 float32) (q0, q1, q2, inv float32, ok bool) 
 
 // uv interpolates the vertex UVs with persp's weights.
 func (t *triangle) uv(q0, q1, q2, inv float32) geom.Vec2 {
-	v0, v1, v2 := t.v[0], t.v[1], t.v[2]
-	return geom.V2(
-		(q0*v0.UV.X+q1*v1.UV.X+q2*v2.UV.X)*inv,
-		(q0*v0.UV.Y+q1*v1.UV.Y+q2*v2.UV.Y)*inv,
-	)
-}
-
-// interp interpolates depth, UV and color at the pixel center whose edge
-// values are ev12, ev20 and ev01 (the values the coverage test computed),
-// perspective-correct for UV and color. ok is false where the perspective
-// denominator vanishes.
-func (t *triangle) interp(ev12, ev20, ev01 float32) (z float32, uv geom.Vec2, col geom.Vec3, ok bool) {
-	v0, v1, v2 := t.v[0], t.v[1], t.v[2]
-	l0 := ev12 * t.invArea
-	l1 := ev20 * t.invArea
-	l2 := ev01 * t.invArea
-	z = l0*v0.Pos.Z + l1*v1.Pos.Z + l2*v2.Pos.Z
-	q0, q1, q2, inv, ok := t.persp(l0, l1, l2)
-	if !ok {
-		return 0, geom.Vec2{}, geom.Vec3{}, false
+	a, b, c := t.uvs[0], t.uvs[1], t.uvs[2]
+	return geom.Vec2{
+		X: (q0*a.X + q1*b.X + q2*c.X) * inv,
+		Y: (q0*a.Y + q1*b.Y + q2*c.Y) * inv,
 	}
-	col = geom.V3(
-		(q0*v0.Color.X+q1*v1.Color.X+q2*v2.Color.X)*inv,
-		(q0*v0.Color.Y+q1*v1.Color.Y+q2*v2.Color.Y)*inv,
-		(q0*v0.Color.Z+q1*v1.Color.Z+q2*v2.Color.Z)*inv,
-	)
-	return z, t.uv(q0, q1, q2, inv), col, true
 }
 
-// uvAt is the interpolated UV at pixel center (px, py), with no depth or
-// color; ok as for interp.
+// color interpolates the vertex colors with persp's weights.
+func (t *triangle) color(q0, q1, q2, inv float32) geom.Vec3 {
+	a, b, c := t.colors[0], t.colors[1], t.colors[2]
+	return geom.Vec3{
+		X: (q0*a.X + q1*b.X + q2*c.X) * inv,
+		Y: (q0*a.Y + q1*b.Y + q2*c.Y) * inv,
+		Z: (q0*a.Z + q1*b.Z + q2*c.Z) * inv,
+	}
+}
+
+// uvAt is the interpolated UV at pixel center (px, py); ok as for persp.
 func (t *triangle) uvAt(px, py float32) (uv geom.Vec2, ok bool) {
 	q0, q1, q2, inv, ok := t.persp(
 		t.e12.eval(px, py)*t.invArea,
@@ -397,15 +394,23 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 		e20:     makeEdge(v2.Pos.X, v2.Pos.Y, v0.Pos.X, v0.Pos.Y),
 		e01:     makeEdge(v0.Pos.X, v0.Pos.Y, v1.Pos.X, v1.Pos.Y),
 		invArea: 1 / area2,
-		v:       [3]*geom.Vertex{v0, v1, v2},
+		z:       [3]float32{v0.Pos.Z, v1.Pos.Z, v2.Pos.Z},
 		invW:    [3]float32{1 / v0.Pos.W, 1 / v1.Pos.W, 1 / v2.Pos.W},
+		uvs:     [3]geom.Vec2{v0.UV, v1.UV, v2.UV},
+		colors:  [3]geom.Vec3{v0.Color, v1.Color, v2.Color},
 	}
 
 	perFragInstr := mat.Program.InstructionsPerInvocation()
 	nTex := mat.Program.TexSamples
 	earlyZ := !mat.ForceLateZ
-	// The quad's mip levels of each texture that some sample reads are
-	// levels[i].
+	opaque := mat.Blend == scene.BlendOpaque
+	// Sample s2 of a fragment reads texture s2 % len(mat.Textures) at the
+	// fragment's one UV, in the quad's mip levels of that texture,
+	// levels[s2 % len(levels)]. So a sample s2 >= len(levels) repeats sample
+	// s2 % len(levels) exactly: every line it touches is already among the
+	// quad's, and its texel is unused. Only the len(levels) distinct ones
+	// are taken; Samples still counts all nTex, as the texture unit issues
+	// them.
 	nLevels := min(nTex, len(mat.Textures))
 	if cap(r.levels) < nLevels {
 		r.levels = make([]quadLevels, nLevels)
@@ -454,7 +459,9 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 					continue
 				}
 				w.PixelsCovered++
-				z, uv, col, ok := t.interp(ev12, ev20, ev01)
+				l0, l1, l2 := ev12*t.invArea, ev20*t.invArea, ev01*t.invArea
+				z := t.depth(l0, l1, l2)
+				q0, q1, q2, inv, ok := t.persp(l0, l1, l2)
 				if !ok {
 					continue
 				}
@@ -469,8 +476,9 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 				w.FragmentsShaded++
 				quad.Instr += uint16(perFragInstr)
 
-				var texel geom.Vec3
+				texel := geom.V3(1, 1, 1)
 				if nLevels > 0 {
+					uv := t.uv(q0, q1, q2, inv)
 					if !haveDeriv {
 						uvX, okX := t.uvAt(px+1, py)
 						uvY, okY := t.uvAt(px, py+1)
@@ -489,18 +497,12 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 							}
 						}
 					}
-					// Sample s2 reads texture s2 % len(mat.Textures); the
-					// first one's texel colors the fragment.
+					// The first sample's texel colors the fragment.
 					quad.Samples += uint16(nTex)
 					texel = sampleColor(mat.Textures[0].ID, r.sampleFootprint(w, texBefore, levels[0], uv))
-					for s2, i := 1, 1; s2 < nTex; s2, i = s2+1, i+1 {
-						if i == len(levels) {
-							i = 0
-						}
-						r.sampleFootprint(w, texBefore, levels[i], uv)
+					for _, lv := range levels[1:] {
+						r.sampleFootprint(w, texBefore, lv, uv)
 					}
-				} else {
-					texel = geom.V3(1, 1, 1)
 				}
 
 				// Late Z-test after shading.
@@ -510,7 +512,12 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 				if mat.DepthWrite {
 					r.zbuf[li] = z
 				}
-				r.cbuf[li] = blendPixel(mat.Blend, r.cbuf[li], texel.Mul(col))
+				src := texel.Mul(t.color(q0, q1, q2, inv))
+				if opaque {
+					r.cbuf[li] = packColor(src)
+				} else {
+					r.cbuf[li] = blendPixel(mat.Blend, r.cbuf[li], src)
+				}
 			}
 			if quad.Fragments > 0 {
 				quad.TexCount = uint16(len(w.TexLines) - texBefore)

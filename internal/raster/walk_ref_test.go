@@ -15,7 +15,9 @@ import (
 
 // refRenderTileInto is RenderTileInto over refRasterPrim: the renderer as
 // it was before the span walk, the per-quad level entries, UV-only
-// derivatives and the color tables. Its texel addresses come from
+// derivatives, the color tables, the inlined interpolation pieces, the
+// one pass over a fragment's distinct samples and the direct packing of
+// opaque fragments. Its texel addresses come from
 // MipLevel.TexelAddr, which scene's TestTexelAddrMatchesReference holds to
 // the old addressing. TestSpanWalkMatchesReference and FuzzSpanWalk hold
 // the renderer to it.
@@ -41,9 +43,16 @@ func (r *Renderer) refRenderTileInto(w *TileWork, sc *scene.Scene, prims []gpipe
 	w.FlushLines = fb.AppendTileFlushLines(w.FlushLines, r.grid, tileID)
 }
 
-// refInterp is interp before UV and color shared persp: depth, UV and color
-// in one function.
-func (t *triangle) refInterp(ev12, ev20, ev01 float32) (z float32, uv geom.Vec2, col geom.Vec3, ok bool) {
+// refTriangle is the triangle set-up that read the attributes through its
+// vertices.
+type refTriangle struct {
+	triangle
+	v [3]*geom.Vertex
+}
+
+// refInterp is the interpolation before it was split into pieces: depth, UV
+// and color in one function, perspective weights included.
+func (t *refTriangle) refInterp(ev12, ev20, ev01 float32) (z float32, uv geom.Vec2, col geom.Vec3, ok bool) {
 	v0, v1, v2 := t.v[0], t.v[1], t.v[2]
 	l0 := ev12 * t.invArea
 	l1 := ev20 * t.invArea
@@ -90,13 +99,15 @@ func (r *Renderer) refRasterPrim(p *gpipe.Primitive, mat *scene.Material, rect g
 		return
 	}
 	qx0, qy0 := b.MinX&^1, b.MinY&^1
-	t := triangle{
-		e12:     makeEdge(v1.Pos.X, v1.Pos.Y, v2.Pos.X, v2.Pos.Y),
-		e20:     makeEdge(v2.Pos.X, v2.Pos.Y, v0.Pos.X, v0.Pos.Y),
-		e01:     makeEdge(v0.Pos.X, v0.Pos.Y, v1.Pos.X, v1.Pos.Y),
-		invArea: 1 / area2,
-		v:       [3]*geom.Vertex{v0, v1, v2},
-		invW:    [3]float32{1 / v0.Pos.W, 1 / v1.Pos.W, 1 / v2.Pos.W},
+	t := refTriangle{
+		triangle: triangle{
+			e12:     makeEdge(v1.Pos.X, v1.Pos.Y, v2.Pos.X, v2.Pos.Y),
+			e20:     makeEdge(v2.Pos.X, v2.Pos.Y, v0.Pos.X, v0.Pos.Y),
+			e01:     makeEdge(v0.Pos.X, v0.Pos.Y, v1.Pos.X, v1.Pos.Y),
+			invArea: 1 / area2,
+			invW:    [3]float32{1 / v0.Pos.W, 1 / v1.Pos.W, 1 / v2.Pos.W},
+		},
+		v: [3]*geom.Vertex{v0, v1, v2},
 	}
 	uvAt := func(px, py float32) (geom.Vec2, bool) {
 		_, uv, _, ok := t.refInterp(t.e12.eval(px, py), t.e20.eval(px, py), t.e01.eval(px, py))
@@ -277,7 +288,9 @@ func TestUnit8Table(t *testing.T) {
 // walkScene is the material set the walk comparisons draw with: every
 // blend mode, Early-Z and late Z, depth writes on and off, untextured and
 // single- and multi-textured programs over square, non-square and
-// truncated-chain textures.
+// truncated-chain textures, and programs that take more samples than their
+// material has textures, so a fragment repeats some of its samples: two
+// over one texture, and three over two.
 func walkScene() *scene.Scene {
 	s := scene.NewScene()
 	big := scene.NewTexture(1, 256, 256, 0x4000_0000, 0)
@@ -289,6 +302,8 @@ func walkScene() *scene.Scene {
 		{Program: shader.Multitexture, Textures: []*scene.Texture{wide, short}, Blend: scene.BlendAdditive, DepthWrite: true},
 		{Program: shader.LitDetail, Textures: []*scene.Texture{short}, Blend: scene.BlendAlpha, ForceLateZ: true, DepthWrite: true},
 		{Program: shader.Sprite, Textures: []*scene.Texture{wide}, Blend: scene.BlendOpaque, ForceLateZ: true},
+		{Program: shader.Program{Name: "triple", ALUOps: 5, TexSamples: 3, Interpolants: 2},
+			Textures: []*scene.Texture{big, wide}, Blend: scene.BlendOpaque, DepthWrite: true},
 	}
 	for _, m := range mats {
 		s.Add(scene.DrawCall{Mesh: scene.NewQuad(1, 1), Material: m})

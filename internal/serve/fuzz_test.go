@@ -2,6 +2,8 @@ package serve
 
 import (
 	"testing"
+
+	libra "repro"
 )
 
 // FuzzDecodeRunRequest: no request body may panic the decoder, and anything
@@ -44,7 +46,7 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		}
 		if req.Config.ScreenW > MaxScreenDim || req.Config.ScreenH > MaxScreenDim ||
 			req.Config.RasterUnits > MaxRasterUnits || req.Config.CoresPerRU > MaxCoresPerRU ||
-			req.Config.L2KB > MaxL2KB {
+			req.Config.L2KB > libra.MaxL2KB {
 			t.Fatalf("accepted config above service caps: %+v", req.Config)
 		}
 	})

@@ -25,8 +25,6 @@ const (
 	// MaxRasterUnits and MaxCoresPerRU bound the simulated hardware scale.
 	MaxRasterUnits = 64
 	MaxCoresPerRU  = 256
-	// MaxL2KB bounds the simulated L2 (64 MiB — 32× the paper's Table I).
-	MaxL2KB = 64 * 1024
 )
 
 // DefaultFrames is the service's frame window when a /v1/run request omits
@@ -113,9 +111,6 @@ func DecodeRunRequest(raw []byte) (RunRequest, error) {
 	if cfg.CoresPerRU > MaxCoresPerRU {
 		return RunRequest{}, fmt.Errorf("cores per RU %d exceed the service bound %d",
 			cfg.CoresPerRU, MaxCoresPerRU)
-	}
-	if cfg.L2KB < 0 || cfg.L2KB > MaxL2KB {
-		return RunRequest{}, fmt.Errorf("l2kb %d outside [0, %d]", cfg.L2KB, MaxL2KB)
 	}
 	if cfg.IntervalWidth < 0 {
 		return RunRequest{}, fmt.Errorf("negative interval width")

@@ -129,6 +129,7 @@ func TestRunRejectsMalformed(t *testing.T) {
 		{"bad policy", `{"game":"Jet","config":{"Policy":"nope"}}`, http.StatusBadRequest},
 		{"l2 set count not a power of two", `{"game":"Jet","config":{"L2KB":576}}`, http.StatusBadRequest},
 		{"tiny l2", `{"game":"Jet","config":{"L2KB":3}}`, http.StatusBadRequest},
+		{"l2 above the bound", fmt.Sprintf(`{"game":"Jet","config":{"L2KB":%d}}`, 2*libra.MaxL2KB), http.StatusBadRequest},
 		{"oversized body", `{"game":"Jet","config":{"Filtering":"` + strings.Repeat("x", MaxRequestBody) + `"}}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {

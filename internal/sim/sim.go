@@ -545,6 +545,14 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 		texAccesses += uint64(q.Samples)
 		l1 := ru.texL1[c]
 		for _, line := range work.TexLines[q.TexStart : q.TexStart+uint32(q.TexCount)] {
+			// Most hits are on the set's most recently used line: those
+			// take the L1 hit latency without a call.
+			if e.hier.ReadHitMRU(l1, line) {
+				lat := l1.HitLatency()
+				latencySum += uint64(lat)
+				maxLat = max(maxLat, lat)
+				continue
+			}
 			res := e.hier.AccessThroughL1(l1, start, line, false)
 			if res.Level != mem.LevelL1 {
 				texMisses++

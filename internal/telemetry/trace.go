@@ -29,8 +29,9 @@ type TraceConfig struct {
 	// the registry (default 5000, the Fig. 7 interval).
 	MetricsInterval int64
 	// MaxEvents caps the retained trace events so a long run cannot exhaust
-	// memory; further events are dropped (counted in dropped) while the
-	// metrics registry keeps accumulating. Default 1<<20.
+	// memory; further events are dropped while the metrics registry keeps
+	// accumulating. Both exports report the count of dropped events, once
+	// there is one. Default 1<<20.
 	MaxEvents int
 }
 
@@ -160,10 +161,13 @@ func (t *Trace) us(cycles int64) float64 {
 	return float64(cycles) * 1e6 / t.cfg.ClockHz
 }
 
-// add appends one event under t.mu, honouring the MaxEvents cap.
+// add appends one event under t.mu, honouring the MaxEvents cap. The
+// trace.dropped_events counter first appears at the first drop, so a run
+// within the cap exports metrics byte-identical to one without a cap.
 func (t *Trace) add(ev Event) {
 	if len(t.events) >= t.cfg.MaxEvents {
 		t.dropped++
+		t.reg.Counter("trace.dropped_events").Inc()
 		return
 	}
 	t.events = append(t.events, ev)
@@ -376,11 +380,18 @@ func (t *Trace) ExportMetrics(w io.Writer) error {
 // JSON (object format), loadable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing: process/thread metadata, the recorded spans/instants/
 // counters, and L1/L2 hit-rate counter tracks derived from the registry.
+// When the MaxEvents cap dropped events, their count is the
+// "dropped_events" entry of the trace's otherData, so a truncated trace
+// says so.
 func (t *Trace) ExportChromeTrace(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
+	head := `{"displayTimeUnit":"ms",`
+	if t.dropped > 0 {
+		head += fmt.Sprintf(`"otherData":{"dropped_events":%d},`, t.dropped)
+	}
+	if _, err := bw.WriteString(head + `"traceEvents":[`); err != nil {
 		return err
 	}
 	first := true

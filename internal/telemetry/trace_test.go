@@ -185,12 +185,32 @@ func TestTraceMaxEvents(t *testing.T) {
 	if got := tr.reg.Snapshot().Counters["ru0.tiles"]; got != 10 {
 		t.Errorf("ru0.tiles = %d, want 10", got)
 	}
+	// Both exports report the drops: the trace in its otherData, the
+	// metrics as a counter.
 	var buf bytes.Buffer
 	if err := tr.ExportChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !json.Valid(buf.Bytes()) {
-		t.Error("capped export is not valid JSON")
+	var doc struct {
+		OtherData   map[string]int `json:"otherData"`
+		TraceEvents []Event        `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("capped export is not valid JSON: %v", err)
+	}
+	if got := doc.OtherData["dropped_events"]; got != 7 {
+		t.Errorf("trace otherData dropped_events = %d, want 7", got)
+	}
+	var metrics bytes.Buffer
+	if err := tr.ExportMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	var snap struct{ Counters map[string]int64 }
+	if err := json.Unmarshal(metrics.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["trace.dropped_events"]; got != 7 {
+		t.Errorf("metrics counter trace.dropped_events = %d, want 7", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package libra
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -24,13 +25,18 @@ func TestConfigValidate(t *testing.T) {
 		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, L2KB: 576},
 		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, L2KB: 3},
 		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, L2KB: -5},
+		// Sizes above MaxL2KB: a power of two, whose cache could be built
+		// but would allocate its tag arrays unchecked, and one whose byte
+		// count overflows an int.
+		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, L2KB: 2 * MaxL2KB},
+		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, L2KB: math.MaxInt},
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	for _, kb := range []int{0, 256, 512, 1024, 2048, 64 * 1024} {
+	for _, kb := range []int{0, 256, 512, 1024, 2048, MaxL2KB} {
 		cfg := DefaultConfig(tw, th)
 		cfg.L2KB = kb
 		if err := cfg.Validate(); err != nil {
