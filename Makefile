@@ -107,7 +107,7 @@ bench-gate-update:
 # `go tool pprof $(PROFILE_DIR)/libra.test $(PROFILE_DIR)/cpu.prof`.
 profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime 40x -timeout 0 \
+	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime 200x -timeout 0 \
 		-cpuprofile $(PROFILE_DIR)/cpu.prof -o $(PROFILE_DIR)/libra.test .
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/libra.test $(PROFILE_DIR)/cpu.prof
 

@@ -33,10 +33,7 @@ func main() {
 	cfg := cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH))
 	cli.Refuse(cfg.Validate())
 	run, err := libra.NewRun(cfg, *game)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.Refuse(err) // an unknown game: cfg is validated
 	results := run.RenderFrames(cli.P.Frames)
 	last := results[len(results)-1]
 

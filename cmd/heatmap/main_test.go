@@ -20,13 +20,14 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBadValuesRefused pins that a screen no simulation can run with exits
-// 2 with one heatmap line before anything simulates.
+// TestBadValuesRefused pins that a screen no simulation can run with and an
+// unknown game exit 2 with one heatmap line before anything simulates.
 func TestBadValuesRefused(t *testing.T) {
 	for _, args := range [][]string{
 		{"-w", "0"},
 		{"-h", "-1"},
 		{"-w", "20000"},
+		{"-game", "Nope"},
 	} {
 		args = append([]string{"-frames", "2"}, args...)
 		cmd := exec.Command(os.Args[0], args...)

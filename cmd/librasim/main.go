@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -60,6 +61,7 @@ func main() {
 		cli.P = experimentParams(cli.P, *paper)
 		// Every configuration an experiment runs has this screen and L2.
 		cli.Refuse(cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH)).Validate())
+		cli.Refuse(checkExperiment(cli.P, *experiment, *format))
 		runExperiments(cli, *experiment, *format, *traceOut, *metricsOut)
 	case *game != "":
 		cfg := cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH))
@@ -99,6 +101,21 @@ func experimentParams(given experiments.Params, paper bool) experiments.Params {
 	return p
 }
 
+// checkExperiment reports an error unless id names an experiment, or is
+// "all", and format is one runExperiments prints. It opens no result store.
+func checkExperiment(p experiments.Params, id, format string) error {
+	switch format {
+	case "table", "markdown", "json":
+	default:
+		return fmt.Errorf("unknown format %q (table | markdown | json)", format)
+	}
+	r := experiments.NewRunner(p)
+	if _, ok := r.Registry()[id]; !ok && id != "all" {
+		return fmt.Errorf("unknown experiment %q (%s | all)", id, strings.Join(r.ExperimentIDs(), " | "))
+	}
+	return nil
+}
+
 func printSuite() {
 	fmt.Printf("%-5s %-22s %-5s %-6s %s\n", "abbr", "name", "class", "mem?", "footprint")
 	for _, b := range libra.Benchmarks() {
@@ -112,10 +129,7 @@ func printSuite() {
 
 func singleRun(cli *experiments.CLI, cfg libra.Config, game string, heat, jsonOut bool, screenshot, traceOut, metricsOut string) {
 	run, err := libra.NewRun(cfg, game)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.Refuse(err) // an unknown game: main has validated cfg
 	var tr *telemetry.Trace
 	if traceOut != "" || metricsOut != "" {
 		tr = telemetry.NewTrace(telemetry.TraceConfig{ClockHz: cfg.ClockHz})

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -41,23 +43,33 @@ func librasim(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errOut.String()
 }
 
-// TestBadValuesRefused pins that a configuration no simulation can run with
-// exits 2 with one librasim line before anything simulates, for single runs
-// and experiments alike.
+// TestBadValuesRefused pins that a configuration no simulation can run
+// with, an unknown game or experiment and an unknown output format exit 2
+// with one librasim line before anything simulates or opens the result
+// store, for single runs and experiments alike.
 func TestBadValuesRefused(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "store")
 	for _, args := range [][]string{
 		{"-game", "SuS", "-rus", "0"},
 		{"-game", "SuS", "-cores", "0"},
 		{"-game", "SuS", "-policy", "bogus"},
 		{"-game", "SuS", "-w", "0"},
 		{"-game", "SuS", "-l2kb", "131072"},
+		{"-game", "Nope"},
 		{"-experiment", "fig02", "-w", "0"},
 		{"-experiment", "fig02", "-l2kb", "131072"},
+		{"-experiment", "nope"},
+		{"-experiment", "fig06a", "-format", "nope"},
 	} {
+		args = append([]string{"-result-dir", store}, args...)
 		code, stdout, stderr := librasim(t, args...)
 		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "librasim: ") || strings.Count(stderr, "\n") != 1 {
 			t.Errorf("librasim %s: exit %d, stdout %q, stderr %q; want exit 2 and one librasim line",
 				strings.Join(args, " "), code, stdout, stderr)
+		}
+		if _, err := os.Stat(store); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("librasim %s left a result store behind (stat: %v)", strings.Join(args, " "), err)
+			os.RemoveAll(store)
 		}
 	}
 }

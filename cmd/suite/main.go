@@ -22,7 +22,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
 
 	libra "repro"
 	"repro/internal/experiments"
@@ -59,18 +58,20 @@ func main() {
 	case "all":
 		games = libra.Benchmarks()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown suite %q\n", *which)
-		os.Exit(1)
+		cli.Refuse(fmt.Errorf("unknown suite %q (all | mem | compute)", *which))
 	}
 
-	r := cli.Runner()
+	// The runner's Baseline, PTR(2) and LIBRA(2), built from the scale
+	// here so that a refused configuration leaves no result store behind:
+	// cli.Runner opens it.
+	p := cli.P
 	configs := []struct {
 		name string
 		cfg  libra.Config
 	}{
-		{"baseline", r.Baseline()},
-		{"ptr", r.PTR(2)},
-		{"libra", r.LIBRA(2)},
+		{"baseline", p.Apply(libra.Baseline(p.ScreenW, p.ScreenH, experiments.TotalCores))},
+		{"ptr", p.Apply(libra.PTR(p.ScreenW, p.ScreenH, 2))},
+		{"libra", p.Apply(libra.LIBRA(p.ScreenW, p.ScreenH, 2))},
 	}
 	for _, c := range configs {
 		cli.Refuse(c.cfg.Validate())
@@ -94,12 +95,11 @@ func main() {
 			}
 		}
 		if traced == nil {
-			fmt.Fprintf(os.Stderr, "no run matches -trace-game %q -trace-config %q in this suite\n", tg, *traceCfg)
-			os.Exit(1)
+			cli.Refuse(fmt.Errorf("no run matches -trace-game %q -trace-config %q in this suite", tg, *traceCfg))
 		}
 		tr = telemetry.NewTrace(telemetry.TraceConfig{})
 		tracedCfg := *traced
-		r.SetTelemetry(func(cfg libra.Config, game string) telemetry.Recorder {
+		cli.Runner().SetTelemetry(func(cfg libra.Config, game string) telemetry.Recorder {
 			if game == tg && cfg == tracedCfg {
 				return tr
 			}

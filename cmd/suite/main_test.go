@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -20,17 +22,23 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBadValuesRefused pins that a screen or L2 no simulation can run with
-// exits 2 with one suite line before anything simulates: nothing on stdout,
-// no progress line.
+// TestBadValuesRefused pins that a screen or L2 no simulation can run with,
+// an unknown suite and a traced run the suite does not hold exit 2 with one
+// suite line before anything simulates or opens: nothing on stdout, no
+// progress line, no trace file and no result store directory.
 func TestBadValuesRefused(t *testing.T) {
+	tmp := t.TempDir()
+	store := filepath.Join(tmp, "store")
+	traceFile := filepath.Join(tmp, "trace.json")
 	for _, args := range [][]string{
 		{"-w", "0"},
 		{"-h", "-1"},
 		{"-w", "20000"},
 		{"-l2kb", "131072"},
+		{"-suite", "bogus"},
+		{"-trace-out", traceFile, "-trace-game", "Nope"},
 	} {
-		args = append([]string{"-suite", "mem", "-frames", "2"}, args...)
+		args = append([]string{"-suite", "mem", "-frames", "2", "-result-dir", store}, args...)
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "SUITE_MAIN=1", "LIBRA_RESULT_DIR=")
 		var out, errOut bytes.Buffer
@@ -46,6 +54,12 @@ func TestBadValuesRefused(t *testing.T) {
 		if code != 2 || out.Len() != 0 || !strings.HasPrefix(stderr, "suite: ") || strings.Count(stderr, "\n") != 1 {
 			t.Errorf("suite %s: exit %d, stdout %q, stderr %q; want exit 2 and one suite line",
 				strings.Join(args, " "), code, out.String(), stderr)
+		}
+		for _, path := range []string{store, traceFile} {
+			if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("suite %s left %s behind (stat: %v)", strings.Join(args, " "), path, err)
+				os.RemoveAll(path)
+			}
 		}
 	}
 }

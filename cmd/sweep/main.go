@@ -19,7 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -53,9 +53,9 @@ func main() {
 	cli.ParseCommandLine()
 
 	points, err := parsePoints(*axis, *values)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	cli.Refuse(err)
+	if !slices.ContainsFunc(libra.Benchmarks(), func(b libra.Benchmark) bool { return b.Abbrev == *game }) {
+		cli.Refuse(fmt.Errorf("unknown benchmark %q", *game))
 	}
 
 	// The shared runner brings the in-memory singleflight cache and, with
@@ -99,7 +99,7 @@ func parsePoints(axis, values string) ([]int, error) {
 	for _, part := range strings.Split(spec, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("-values: %q is not an integer", part)
 		}
 		points = append(points, v)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestMain runs main itself, with the process's arguments, when SWEEP_MAIN
-// is set: TestBadPointsRefused starts the test binary that way to observe a
+// is set: TestBadValuesRefused starts the test binary that way to observe a
 // real invocation's exit status and output.
 func TestMain(m *testing.M) {
 	if os.Getenv("SWEEP_MAIN") == "1" {
@@ -23,12 +23,19 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBadPointsRefused pins that a sweep point no simulation can run with,
-// an L2 above libra.MaxL2KB or one no cache can be built from, exits 2
-// with one sweep line before any point simulates.
-func TestBadPointsRefused(t *testing.T) {
-	for _, values := range []string{"131072", "256,576"} {
-		args := []string{"-axis", "l2kb", "-values", values, "-frames", "2", "-quiet"}
+// TestBadValuesRefused pins that a sweep point no simulation can run with,
+// an L2 above libra.MaxL2KB or one no cache can be built from, an unknown
+// axis or game and a value that is not an integer exit 2 with one sweep
+// line before any point simulates.
+func TestBadValuesRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-axis", "l2kb", "-values", "131072"},
+		{"-axis", "l2kb", "-values", "256,576"},
+		{"-axis", "bogus"},
+		{"-axis", "rus", "-values", "x"},
+		{"-game", "Nope"},
+	} {
+		args = append(args, "-frames", "2", "-quiet")
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "SWEEP_MAIN=1", "LIBRA_RESULT_DIR=")
 		var out, errOut bytes.Buffer

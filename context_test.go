@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/mem"
 )
 
 // countingCtx reports cancellation after its Err method has been read limit
@@ -108,5 +110,15 @@ func TestValidateScreenBound(t *testing.T) {
 	cfg = DefaultConfig(MaxScreenDim, 64)
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("ScreenW at the bound rejected: %v", err)
+	}
+}
+
+// TestScreenBoundKeepsFrameBufferBelowAddrLimit: the largest frame buffer
+// Validate accepts, MaxScreenDim² pixels of 4 bytes from mem.FrameBase, ends
+// below mem.AddrLimit, so raster.TileWork's 32-bit flush line addresses are
+// exact.
+func TestScreenBoundKeepsFrameBufferBelowAddrLimit(t *testing.T) {
+	if end := mem.FrameBase + MaxScreenDim*MaxScreenDim*4; end > mem.AddrLimit {
+		t.Errorf("a %d² frame buffer ends at %#x, past %#x", MaxScreenDim, end, mem.AddrLimit)
 	}
 }

@@ -98,7 +98,10 @@ func tileTraceDigest(p workloads.Profile, f raster.Filtering) uint64 {
 }
 
 // appendTileWork encodes every field of w, slice lengths included, so two
-// works encode equally exactly when they are field-for-field equal.
+// works encode equally exactly when they are field-for-field equal. Each
+// quad's first texture line (the running sum of the earlier quads'
+// TexCounts) and each address are written as 64-bit words: the bytes the
+// recorded digests hash.
 func appendTileWork(buf []byte, w *raster.TileWork) []byte {
 	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	put(uint64(w.TileID))
@@ -108,17 +111,19 @@ func appendTileWork(buf []byte, w *raster.TileWork) []byte {
 	put(uint64(w.FragmentsKilled))
 	put(uint64(w.PixelsCovered))
 	put(uint64(len(w.Quads)))
+	texStart := uint64(0)
 	for _, q := range w.Quads {
 		put(uint64(q.Fragments))
 		put(uint64(q.Instr))
-		put(uint64(q.TexStart))
+		put(texStart)
 		put(uint64(q.TexCount))
 		put(uint64(q.Samples))
+		texStart += uint64(q.TexCount)
 	}
-	for _, s := range [][]uint64{w.TexLines, w.PBReads, w.FlushLines} {
+	for _, s := range [][]uint32{w.TexLines, w.PBReads, w.FlushLines} {
 		put(uint64(len(s)))
 		for _, a := range s {
-			put(a)
+			put(uint64(a))
 		}
 	}
 	return buf

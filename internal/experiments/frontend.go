@@ -126,10 +126,11 @@ func (c *CLI) ParseCommandLine() {
 	c.Refuse(c.Parse(flag.CommandLine, os.Args[1:]))
 }
 
-// Refuse ends the run before anything simulates when err reports a value or
-// a configuration no simulation can run with: one line prefixed with the
-// front-end's name on stderr, exit 2. A nil err does nothing. Front-ends
-// pass it the Validate of every libra.Config they build from their flags.
+// Refuse ends the run before anything simulates when err reports a value, a
+// name or a configuration no simulation can run with: one line prefixed with
+// the front-end's name on stderr, exit 2. A nil err does nothing. Front-ends
+// pass it the Validate of every libra.Config they build from their flags,
+// and their unknown names and formats, before Runner opens a result store.
 func (c *CLI) Refuse(err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", c.Name, err)

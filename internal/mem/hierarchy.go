@@ -17,6 +17,13 @@ const (
 	ParamBase    uint64 = 0x2000_0000 // Parameter Buffer (per-tile primitive lists)
 	TextureBase  uint64 = 0x4000_0000 // texture images
 	FrameBase    uint64 = 0x8000_0000 // Frame Buffer (final colors)
+
+	// AddrLimit bounds the address space: every region is laid out below
+	// it, so a 32-bit record (raster.TileWork's streams) holds any address
+	// exactly. The texture allocator keeps textures below FrameBase, the
+	// binner keeps the Parameter Buffer below AddrLimit, and the largest
+	// frame buffer libra.Config allows ends at 0xC000_0000.
+	AddrLimit uint64 = 1 << 32
 )
 
 // Level identifies where an access was served.

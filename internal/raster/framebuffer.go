@@ -80,15 +80,17 @@ func (fb *FrameBuffer) PixelAddr(x, y int) uint64 {
 // addresses written when the given tile's Color Buffer is flushed (§II-A:
 // the Color Buffer is entirely written to main memory once per tile) and
 // returns the extended slice, allocating only when dst lacks capacity.
+// Each address fits in 32 bits: the largest frame buffer libra.Config
+// allows, libra.MaxScreenDim² pixels, ends at 0xC000_0000.
 //
 //libra:hotpath
 //libra:transient
-func (fb *FrameBuffer) AppendTileFlushLines(dst []uint64, grid tiling.Grid, tileID int) []uint64 {
+func (fb *FrameBuffer) AppendTileFlushLines(dst []uint32, grid tiling.Grid, tileID int) []uint32 {
 	r := grid.TileRect(tileID)
-	var last uint64 = ^uint64(0)
+	last := ^uint32(0)
 	for y := r.MinY; y <= r.MaxY; y++ {
 		for x := r.MinX; x <= r.MaxX; x++ {
-			line := fb.PixelAddr(x, y) &^ 63
+			line := uint32(fb.PixelAddr(x, y)) &^ 63
 			if line != last {
 				dst = append(dst, line)
 				last = line

@@ -13,12 +13,13 @@ import (
 const ClearColor uint32 = 0xFF101820
 
 // QuadMeta is the trace record of one shaded 2×2 quad: everything the timing
-// engine needs to replay its cost against a shader core.
+// engine needs to replay its cost against a shader core, in 8 bytes.
 type QuadMeta struct {
 	Fragments uint8  // fragments actually shaded
 	Instr     uint16 // total dynamic shader instructions for the quad
-	TexStart  uint32 // first texture line index in TileWork.TexLines
-	TexCount  uint16 // number of distinct texture line accesses
+	// TexCount is the number of distinct texture lines the quad reads: the
+	// TexCount entries of TileWork.TexLines that follow the earlier quads'.
+	TexCount uint16
 	// Samples is the number of per-fragment texture samples issued; the
 	// quad's fragments coalesce onto TexCount distinct lines (real texture
 	// units merge same-line requests within a quad), so hit-ratio
@@ -28,13 +29,16 @@ type QuadMeta struct {
 
 // TileWork is the complete rendering trace of one tile: the Raster Unit's
 // workload in program order, plus the memory traffic of the Tile Fetcher
-// (PBReads) and the Color Buffer flush (FlushLines).
+// (PBReads) and the Color Buffer flush (FlushLines). Addresses are 32-bit
+// byte addresses: every region of the simulated address space lies below
+// mem.AddrLimit, so none is truncated. The replay widens them to the memory
+// model's uint64.
 type TileWork struct {
 	TileID     int
 	Quads      []QuadMeta
-	TexLines   []uint64 // flattened texture line addresses, indexed by quads
-	PBReads    []uint64 // Parameter Buffer entry addresses (Tile Fetcher)
-	FlushLines []uint64 // Frame Buffer line writes at tile flush
+	TexLines   []uint32 // texture line addresses, quad after quad
+	PBReads    []uint32 // Parameter Buffer entry addresses (Tile Fetcher)
+	FlushLines []uint32 // Frame Buffer line writes at tile flush
 
 	Instructions    uint64 // total shader instructions (temperature denominator)
 	FragmentsShaded int
@@ -163,7 +167,7 @@ func (r *Renderer) RenderTileInto(w *TileWork, sc *scene.Scene, prims []gpipe.Pr
 	}
 
 	for _, ref := range refs {
-		w.PBReads = append(w.PBReads, ref.Addr)
+		w.PBReads = append(w.PBReads, uint32(ref.Addr))
 		p := &prims[ref.Prim]
 		dc := &sc.DrawCalls[p.Draw]
 		r.rasterPrim(p, &dc.Material, rect, w)
@@ -442,7 +446,6 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 			haveDeriv := false
 
 			var quad QuadMeta
-			quad.TexStart = uint32(len(w.TexLines))
 			texBefore := len(w.TexLines)
 
 			for s := 0; s < 4; s++ {
@@ -535,21 +538,24 @@ func (r *Renderer) rasterPrim(p *gpipe.Primitive, mat *scene.Material, rect geom
 func (r *Renderer) sampleFootprint(w *TileWork, texBefore int, lv quadLevels, uv geom.Vec2) uint64 {
 	cur := lv.cur
 	base := cur.TexelAddr(uv.X, uv.Y)
-	appendUniqueLine(&w.TexLines, texBefore, base&^63)
+	appendUniqueLine(&w.TexLines, texBefore, base)
 	if r.filter >= FilterBilinear {
-		appendUniqueLine(&w.TexLines, texBefore, cur.TexelAddr(uv.X+cur.DU, uv.Y)&^63)
-		appendUniqueLine(&w.TexLines, texBefore, cur.TexelAddr(uv.X, uv.Y+cur.DV)&^63)
-		appendUniqueLine(&w.TexLines, texBefore, cur.TexelAddr(uv.X+cur.DU, uv.Y+cur.DV)&^63)
+		appendUniqueLine(&w.TexLines, texBefore, cur.TexelAddr(uv.X+cur.DU, uv.Y))
+		appendUniqueLine(&w.TexLines, texBefore, cur.TexelAddr(uv.X, uv.Y+cur.DV))
+		appendUniqueLine(&w.TexLines, texBefore, cur.TexelAddr(uv.X+cur.DU, uv.Y+cur.DV))
 	}
 	if lv.next != nil {
-		appendUniqueLine(&w.TexLines, texBefore, lv.next.TexelAddr(uv.X, uv.Y)&^63)
+		appendUniqueLine(&w.TexLines, texBefore, lv.next.TexelAddr(uv.X, uv.Y))
 	}
 	return base
 }
 
-// appendUniqueLine appends line to *dst if it is not already present among
-// the entries added for the current quad (from index start on).
-func appendUniqueLine(dst *[]uint64, start int, line uint64) {
+// appendUniqueLine appends the line of texel address addr to *dst if it is
+// not already present among the entries added for the current quad (from
+// index start on). Textures lie below mem.FrameBase (scene's allocator
+// checks it), so the line address fits in 32 bits.
+func appendUniqueLine(dst *[]uint32, start int, addr uint64) {
+	line := uint32(addr) &^ 63
 	s := *dst
 	for i := start; i < len(s); i++ {
 		if s[i] == line {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/gpipe"
@@ -156,19 +157,16 @@ func TestTexturedQuadGeneratesTextureTraffic(t *testing.T) {
 		t.Fatal("textured draw produced no texture accesses")
 	}
 	for _, line := range w.TexLines {
-		if line < tex.Base || line >= tex.Base+tex.SizeBytes() {
+		if uint64(line) < tex.Base || uint64(line) >= tex.Base+tex.SizeBytes() {
 			t.Fatalf("texture line %#x outside texture range", line)
 		}
 		if line%64 != 0 {
 			t.Fatalf("texture access %#x not line-aligned", line)
 		}
 	}
-	// Quad records index into TexLines consistently.
+	// The quads' line counts add up to the stream, which they split.
 	var total int
 	for _, q := range w.Quads {
-		if int(q.TexStart)+int(q.TexCount) > len(w.TexLines) {
-			t.Fatal("quad tex range out of bounds")
-		}
 		total += int(q.TexCount)
 	}
 	if total != len(w.TexLines) {
@@ -211,11 +209,11 @@ func TestDerivativeRetry(t *testing.T) {
 		t.Fatalf("want one quad of two fragments on two lines, got quads %+v lines %#x", w.Quads, w.TexLines)
 	}
 	level0End := tex.Base + uint64(tex.W*tex.H*scene.TexelBytes)
-	if w.TexLines[0] >= level0End {
+	if uint64(w.TexLines[0]) >= level0End {
 		t.Errorf("first fragment (no derivatives) read %#x, want level 0 [%#x, %#x)",
 			w.TexLines[0], tex.Base, level0End)
 	}
-	if w.TexLines[1] < level0End {
+	if uint64(w.TexLines[1]) < level0End {
 		t.Errorf("second fragment read %#x in level 0, want the coarser level its derivatives select",
 			w.TexLines[1])
 	}
@@ -279,7 +277,7 @@ func TestFlushLinesFullTile(t *testing.T) {
 	if len(lines) != 64 {
 		t.Errorf("full tile flush = %d lines, want 64", len(lines))
 	}
-	seen := map[uint64]bool{}
+	seen := map[uint32]bool{}
 	for _, l := range lines {
 		if l%64 != 0 {
 			t.Fatalf("flush address %#x not line-aligned", l)
@@ -387,5 +385,25 @@ func TestFlatDrawsHaveNoSamples(t *testing.T) {
 	}
 	if len(w.TexLines) != 0 {
 		t.Error("flat tile has texture lines")
+	}
+}
+
+// TestWorkRecordLayout pins TileWork's compact layout: an 8-byte quad with
+// no stored line offset, and 4-byte address entries in all three streams.
+// A frame's work record is held per tile by the render farm and decoded
+// per replayed frame, so a wider field grows every one of them.
+func TestWorkRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(QuadMeta{}); got != 8 {
+		t.Errorf("QuadMeta is %d bytes, want 8", got)
+	}
+	var w TileWork
+	for name, size := range map[string]uintptr{
+		"TexLines":   unsafe.Sizeof(w.TexLines[:1][0]),
+		"PBReads":    unsafe.Sizeof(w.PBReads[:1][0]),
+		"FlushLines": unsafe.Sizeof(w.FlushLines[:1][0]),
+	} {
+		if size != 4 {
+			t.Errorf("a %s entry is %d bytes, want 4", name, size)
+		}
 	}
 }

@@ -29,7 +29,7 @@ func (r *Renderer) refRenderTileInto(w *TileWork, sc *scene.Scene, prims []gpipe
 		r.cbuf[i] = ClearColor
 	}
 	for _, ref := range refs {
-		w.PBReads = append(w.PBReads, ref.Addr)
+		w.PBReads = append(w.PBReads, uint32(ref.Addr))
 		p := &prims[ref.Prim]
 		dc := &sc.DrawCalls[p.Draw]
 		r.refRasterPrim(p, &dc.Material, rect, w)
@@ -124,7 +124,6 @@ func (r *Renderer) refRasterPrim(p *gpipe.Primitive, mat *scene.Material, rect g
 		for qx := qx0; qx <= b.MaxX; qx += 2 {
 			haveDeriv := false
 			var quad QuadMeta
-			quad.TexStart = uint32(len(w.TexLines))
 			texBefore := len(w.TexLines)
 			for s := 0; s < 4; s++ {
 				x := qx + (s & 1)

@@ -128,6 +128,25 @@ func TestTextureAllocatorDisjoint(t *testing.T) {
 	}
 }
 
+// TestTextureAllocatorStaysInRegion checks that the allocator refuses a
+// texture that would run past the texture region's end, mem.FrameBase, so
+// every texture address fits the trace's 32 bits. Three 8192² textures with
+// their mip chains take a little over the region's 1 GiB: two fit.
+func TestTextureAllocatorStaysInRegion(t *testing.T) {
+	a := NewTextureAllocator()
+	for i := 0; i < 2; i++ {
+		if tx := a.Alloc(8192, 8192); tx.Base+tx.SizeBytes() > mem.FrameBase {
+			t.Fatalf("texture %d ends at %#x, past the region's end", i, tx.Base+tx.SizeBytes())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("the allocator handed out a texture past the texture region's end")
+		}
+	}()
+	a.Alloc(8192, 8192)
+}
+
 func TestMeshBuilders(t *testing.T) {
 	tris := func(m *Mesh) int { return len(m.Indices) / 3 }
 	q := NewQuad(1, 1)

@@ -4,6 +4,7 @@
 package scene
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/mem"
@@ -142,10 +143,16 @@ func NewTextureAllocator() *TextureAllocator {
 }
 
 // Alloc creates a new texture of the given dimensions with a full mip chain.
+// It panics if the texture would run past the texture region's end,
+// mem.FrameBase: the trace stores texture addresses in 32 bits, which holds
+// only while they stay below mem.AddrLimit.
 func (a *TextureAllocator) Alloc(w, h int) *Texture {
 	t := NewTexture(a.nextID, w, h, a.next, 0)
 	a.nextID++
 	// Keep textures line- and row-aligned.
 	a.next += (t.SizeBytes() + 4095) &^ 4095
+	if a.next > mem.FrameBase {
+		panic(fmt.Sprintf("scene: texture %d (%d×%d) runs past the texture region's end %#x", t.ID, w, h, mem.FrameBase))
+	}
 	return t
 }

@@ -244,8 +244,11 @@ type rasterUnit struct {
 	// scratch is the RU-owned reusable TileWork the serial path renders
 	// into; its buffers are reset and refilled at every tile, so steady-state
 	// rendering stops allocating once they reach the hot-tile watermark.
-	scratch    raster.TileWork
+	scratch raster.TileWork
+	// quadIdx is the next quad of work to replay, and texIdx the index of
+	// its first line in work.TexLines: the earlier quads' TexCounts summed.
 	quadIdx    int
+	texIdx     int
 	tileActive bool
 	tileAcq    int64 // cycle the tile was acquired (telemetry span start)
 	tileDRAM   int   // DRAM accesses of the current tile (telemetry)
@@ -375,7 +378,7 @@ func (e *Engine) RunRaster(in FrameInput) FrameOutput {
 		ru.now = in.StartCycle
 		ru.done = false
 		ru.tileActive = false
-		ru.quadIdx = 0
+		ru.quadIdx, ru.texIdx = 0, 0
 		ru.core, ru.inBlock = 0, 0
 		ru.stats = RUStats{StartCycle: in.StartCycle}
 		for c := range ru.coreFree {
@@ -469,7 +472,7 @@ func (e *Engine) beginTile(ru *rasterUnit, in FrameInput, tile int) {
 	if in.OnTileWork != nil {
 		in.OnTileWork(*ru.work)
 	}
-	ru.quadIdx = 0
+	ru.quadIdx, ru.texIdx = 0, 0
 	ru.tileActive = true
 	ru.tileAcq = ru.now
 	ru.tileDRAM = 0
@@ -492,7 +495,7 @@ func (e *Engine) beginTile(ru *rasterUnit, in FrameInput, tile int) {
 	// (§V-A.3), so its latency is not exposed, but its DRAM traffic is real.
 	dram := 0
 	for _, addr := range ru.work.PBReads {
-		res := e.hier.AccessThroughL1(e.tileCache, ru.now, addr, false)
+		res := e.hier.AccessThroughL1(e.tileCache, ru.now, uint64(addr), false)
 		dram += res.DRAMAccesses
 	}
 	ru.stats.DRAMAccesses += dram
@@ -509,7 +512,7 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 	cfg := &e.cfg
 	work := ru.work
 	quads := work.Quads
-	qi := ru.quadIdx
+	qi, ti := ru.quadIdx, ru.texIdx
 	limit := min(qi+cfg.BatchQuads, len(quads))
 	core, inBlock := ru.core, ru.inBlock
 	feClock, feStep := ru.feClock, ru.feStep
@@ -544,16 +547,18 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 		var maxLat int64
 		texAccesses += uint64(q.Samples)
 		l1 := ru.texL1[c]
-		for _, line := range work.TexLines[q.TexStart : q.TexStart+uint32(q.TexCount)] {
+		next := ti + int(q.TexCount)
+		for _, line := range work.TexLines[ti:next] {
+			addr := uint64(line)
 			// Most hits are on the set's most recently used line: those
 			// take the L1 hit latency without a call.
-			if e.hier.ReadHitMRU(l1, line) {
+			if e.hier.ReadHitMRU(l1, addr) {
 				lat := l1.HitLatency()
 				latencySum += uint64(lat)
 				maxLat = max(maxLat, lat)
 				continue
 			}
-			res := e.hier.AccessThroughL1(l1, start, line, false)
+			res := e.hier.AccessThroughL1(l1, start, addr, false)
 			if res.Level != mem.LevelL1 {
 				texMisses++
 			}
@@ -561,6 +566,7 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 			dram += res.DRAMAccesses
 			maxLat = max(maxLat, res.Latency)
 		}
+		ti = next
 		lineAccesses += uint64(q.TexCount)
 
 		compute := max(int64(float64(q.Instr)/cfg.IPC), 1)
@@ -582,7 +588,7 @@ func (e *Engine) processBatch(ru *rasterUnit, in FrameInput) {
 	st.TexMisses += texMisses
 	st.TexLatencySum += latencySum
 	st.ComputeCycles += computeCycles
-	ru.quadIdx = qi
+	ru.quadIdx, ru.texIdx = qi, ti
 	ru.core, ru.inBlock = core, inBlock
 	ru.feClock = feClock
 	ru.tileEnd = tileEnd
@@ -619,7 +625,7 @@ func (e *Engine) finishTile(ru *rasterUnit, in FrameInput, dram int) {
 	// Buffer in main memory (§II-C), consuming DRAM bandwidth but not
 	// stalling the RU and not polluting the L2.
 	for _, line := range ru.work.FlushLines {
-		res := e.hier.WriteDRAM(end, line)
+		res := e.hier.WriteDRAM(end, uint64(line))
 		dram += res.DRAMAccesses
 	}
 

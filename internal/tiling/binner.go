@@ -70,6 +70,16 @@ func (bn *Binner) Bin(grid Grid, prims []gpipe.Primitive) *TileLists {
 			}
 		}
 	}
+	checkPBEnd(next)
 	tl.PBBytes = next - mem.ParamBase
 	return tl
+}
+
+// checkPBEnd panics if a Parameter Buffer ending at end runs past
+// mem.AddrLimit: the trace stores its entry addresses in 32 bits. Bin's
+// cursor only grows, so checking where it ends checks every entry.
+func checkPBEnd(end uint64) {
+	if end > mem.AddrLimit {
+		panic("tiling: the Parameter Buffer runs past the 32-bit address space")
+	}
 }

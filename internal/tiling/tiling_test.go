@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/gpipe"
+	"repro/internal/mem"
 )
 
 func TestMortonRoundTrip(t *testing.T) {
@@ -249,6 +250,20 @@ func TestBinAddressesUniqueAndOrdered(t *testing.T) {
 			seen[ref.Addr] = true
 		}
 	}
+}
+
+// TestPBEndBelowAddrLimit checks the bound Bin puts on its Parameter
+// Buffer cursor: a buffer ending at mem.AddrLimit passes, one entry more
+// panics, so every entry address fits the trace's 32 bits. (A real frame
+// would need over 100 million entries to reach it.)
+func TestPBEndBelowAddrLimit(t *testing.T) {
+	checkPBEnd(mem.AddrLimit)
+	defer func() {
+		if recover() == nil {
+			t.Error("a Parameter Buffer past the 32-bit address space passed")
+		}
+	}()
+	checkPBEnd(mem.AddrLimit + PBEntryBytes)
 }
 
 func TestBinOffscreenPrimitiveIgnored(t *testing.T) {

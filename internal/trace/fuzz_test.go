@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
@@ -14,9 +15,10 @@ import (
 )
 
 // FuzzTraceRead checks Read against oracleRead, the bufio-based decoder it
-// replaced: on every input both return deep-equal traces, or both fail with
-// the same error text. Every trace Read accepts must also survive a Write
-// and Read round trip deep-equal: a field Read stored truncated would not.
+// replaced (given Read's refusal of an address outside [0, 2^32)): on every
+// input both return deep-equal traces, or both fail with the same error
+// text. Every trace Read accepts must also survive a Write and Read round
+// trip deep-equal: a field Read stored truncated would not.
 func FuzzTraceRead(f *testing.F) {
 	for seed := int64(0); seed < 3; seed++ {
 		var buf bytes.Buffer
@@ -30,6 +32,8 @@ func FuzzTraceRead(f *testing.F) {
 	}
 	// A screen width whose varint runs past 64 bits.
 	f.Add([]byte("LTRC\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"))
+	// A Parameter Buffer address of 2^32, one past the 32-bit streams' top.
+	f.Add(append(addrTrace(1, 1<<32), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
 		want, werr := oracleRead(bytes.NewReader(data))
@@ -70,7 +74,8 @@ func errText(err error) string {
 // binary.ReadUvarint. It grows its slices as it decodes instead of making
 // them at their declared lengths, so a fuzzed count costs no more memory
 // than the input holds; what it decodes and the errors it returns are the
-// same.
+// same. Like Read, it refuses an address outside [0, 2^32) as soon as it
+// decodes one.
 func oracleRead(r io.Reader) (*FrameTrace, error) {
 	br := bufio.NewReader(r)
 	var head [5]byte
@@ -119,7 +124,7 @@ func oracleTile(br *bufio.Reader, tw *raster.TileWork) error {
 	if nq < 0 || nq > 1<<24 {
 		return fmt.Errorf("trace: implausible quad count %d", nq)
 	}
-	texStart := uint32(0)
+	texLines := 0
 	for i := 0; i < nq; i++ {
 		f, e1 := oracleUint(br, nil)
 		in, e2 := oracleUint(br, e1)
@@ -134,17 +139,16 @@ func oracleTile(br *bufio.Reader, tw *raster.TileWork) error {
 		tw.Quads = append(tw.Quads, raster.QuadMeta{
 			Fragments: uint8(f),
 			Instr:     uint16(in),
-			Samples:   uint16(sm),
-			TexStart:  texStart,
 			TexCount:  uint16(tc),
+			Samples:   uint16(sm),
 		})
-		texStart += uint32(tc)
+		texLines += int(tc)
 	}
 	if tw.TexLines, err = oracleAddrs(br); err != nil {
 		return err
 	}
-	if int(texStart) != len(tw.TexLines) {
-		return fmt.Errorf("trace: quad tex counts (%d) disagree with stream (%d)", texStart, len(tw.TexLines))
+	if texLines != len(tw.TexLines) {
+		return fmt.Errorf("trace: quad tex counts (%d) disagree with stream (%d)", texLines, len(tw.TexLines))
 	}
 	if tw.PBReads, err = oracleAddrs(br); err != nil {
 		return err
@@ -153,7 +157,7 @@ func oracleTile(br *bufio.Reader, tw *raster.TileWork) error {
 	return err
 }
 
-func oracleAddrs(br *bufio.Reader) ([]uint64, error) {
+func oracleAddrs(br *bufio.Reader) ([]uint32, error) {
 	n, err := oracleInt(br, nil)
 	if err != nil {
 		return nil, err
@@ -161,7 +165,7 @@ func oracleAddrs(br *bufio.Reader) ([]uint64, error) {
 	if n < 0 || n > 1<<26 {
 		return nil, fmt.Errorf("trace: implausible address count %d", n)
 	}
-	var out []uint64
+	var out []uint32
 	prev := int64(0)
 	for i := 0; i < n; i++ {
 		d, err := binary.ReadVarint(br)
@@ -169,7 +173,10 @@ func oracleAddrs(br *bufio.Reader) ([]uint64, error) {
 			return nil, err
 		}
 		prev += d
-		out = append(out, uint64(prev))
+		if prev < 0 || prev > math.MaxUint32 {
+			return nil, addrError(i, prev)
+		}
+		out = append(out, uint32(prev))
 	}
 	return out, nil
 }

@@ -93,7 +93,7 @@ func writeTile(bw *bufio.Writer, tw *raster.TileWork) {
 }
 
 // writeAddrs delta-encodes an address stream (zig-zag varints).
-func writeAddrs(bw *bufio.Writer, addrs []uint64) {
+func writeAddrs(bw *bufio.Writer, addrs []uint32) {
 	putUvarint(bw, uint64(len(addrs)))
 	prev := int64(0)
 	for _, a := range addrs {
@@ -105,8 +105,8 @@ func writeAddrs(bw *bufio.Writer, addrs []uint64) {
 
 // Read deserializes a trace written by Write. It decodes the varints by
 // index out of a pooled window onto r, which it refills as the decoding
-// reaches its end. A quad field wider than its raster.QuadMeta field is an
-// error, not a truncated value.
+// reaches its end. A quad field wider than its raster.QuadMeta field, or an
+// address outside [0, 2^32), is an error, not a truncated value.
 func Read(r io.Reader) (*FrameTrace, error) {
 	d := decoderPool.Get().(*decoder)
 	d.reset(r)
@@ -301,16 +301,15 @@ func (d *decoder) tile(tw *raster.TileWork) error {
 	if nq > 0 {
 		tw.Quads = make([]raster.QuadMeta, nq)
 	}
-	texStart := uint32(0)
+	texLines := 0
 	for i := range tw.Quads {
 		f, in, sm, tc := d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
 		if !quadFits(f, in, sm, tc) {
 			return d.quadError(i, f, in, sm, tc)
 		}
 		q := &tw.Quads[i]
-		q.Fragments, q.Instr, q.Samples = uint8(f), uint16(in), uint16(sm)
-		q.TexStart, q.TexCount = texStart, uint16(tc)
-		texStart += uint32(tc)
+		q.Fragments, q.Instr, q.TexCount, q.Samples = uint8(f), uint16(in), uint16(tc), uint16(sm)
+		texLines += int(tc)
 	}
 	if d.err != nil {
 		return d.err
@@ -319,8 +318,8 @@ func (d *decoder) tile(tw *raster.TileWork) error {
 	if tw.TexLines, err = d.addrs(); err != nil {
 		return err
 	}
-	if int(texStart) != len(tw.TexLines) {
-		return fmt.Errorf("trace: quad tex counts (%d) disagree with stream (%d)", texStart, len(tw.TexLines))
+	if texLines != len(tw.TexLines) {
+		return fmt.Errorf("trace: quad tex counts (%d) disagree with stream (%d)", texLines, len(tw.TexLines))
 	}
 	if tw.PBReads, err = d.addrs(); err != nil {
 		return err
@@ -331,8 +330,9 @@ func (d *decoder) tile(tw *raster.TileWork) error {
 	return nil
 }
 
-// addrs decodes a delta-encoded address stream (zig-zag varints).
-func (d *decoder) addrs() ([]uint64, error) {
+// addrs decodes a delta-encoded address stream (zig-zag varints) of
+// addresses in [0, 2^32).
+func (d *decoder) addrs() ([]uint32, error) {
 	n := d.int()
 	if d.err != nil {
 		return nil, d.err
@@ -343,15 +343,25 @@ func (d *decoder) addrs() ([]uint64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if n > d.left() { // each address takes at least one byte
-		return nil, d.drain()
-	}
-	out := make([]uint64, n)
+	// A failed read returns 0, which leaves prev in range, so an address
+	// error is never reported after a decoding error.
 	prev := int64(0)
+	if n > d.left() {
+		// Each address takes at least one byte, so the input ends before
+		// the stream does, unless an address it holds lies outside first.
+		for i := 0; d.err == nil; i++ {
+			if prev += unzigzag(d.uvarint()); !addrFits(prev) {
+				return nil, addrError(i, prev)
+			}
+		}
+		return nil, d.err
+	}
+	out := make([]uint32, n)
 	for i := range out {
-		u := d.uvarint()
-		prev += int64(u>>1) ^ -int64(u&1)
-		out[i] = uint64(prev)
+		if prev += unzigzag(d.uvarint()); !addrFits(prev) {
+			return nil, addrError(i, prev)
+		}
+		out[i] = uint32(prev)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -359,14 +369,17 @@ func (d *decoder) addrs() ([]uint64, error) {
 	return out, nil
 }
 
-// drain decodes varints until one fails and returns its error: the error
-// that decoding a declared count of varints too large for the input runs
-// into.
-func (d *decoder) drain() error {
-	for d.err == nil {
-		d.uvarint()
-	}
-	return d.err
+// unzigzag decodes a zig-zag varint's value (binary.Varint's mapping).
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// addrFits reports whether a decoded address lies in [0, 2^32), the range
+// raster.TileWork's 32-bit streams hold.
+func addrFits(a int64) bool { return uint64(a) <= math.MaxUint32 }
+
+// addrError is Read's error for the i-th address of a stream, a, that
+// addrFits refuses.
+func addrError(i int, a int64) error {
+	return fmt.Errorf("trace: address %d of a stream, %#x, lies outside the 32-bit address space", i, a)
 }
 
 // putUvarint emits v byte-by-byte (same wire format as binary.PutUvarint).

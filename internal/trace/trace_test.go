@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -23,29 +24,26 @@ func randomTrace(seed int64, tiles int) *FrameTrace {
 			FragmentsKilled: rng.Intn(512),
 			PixelsCovered:   rng.Intn(4096),
 		}
-		addr := uint64(0x4000_0000)
-		texStart := uint32(0)
+		addr := uint32(0x4000_0000)
 		for q := 0; q < rng.Intn(40); q++ {
 			tc := uint16(rng.Intn(4))
 			qm := raster.QuadMeta{
 				Fragments: uint8(1 + rng.Intn(4)),
 				Instr:     uint16(rng.Intn(300)),
 				Samples:   uint16(rng.Intn(8)),
-				TexStart:  texStart,
 				TexCount:  tc,
 			}
 			for t := 0; t < int(tc); t++ {
-				addr += uint64(rng.Intn(4096)) &^ 63
+				addr += uint32(rng.Intn(4096)) &^ 63
 				tw.TexLines = append(tw.TexLines, addr)
 			}
-			texStart += uint32(tc)
 			tw.Quads = append(tw.Quads, qm)
 		}
 		for p := 0; p < rng.Intn(20); p++ {
-			tw.PBReads = append(tw.PBReads, 0x2000_0000+uint64(p*32))
+			tw.PBReads = append(tw.PBReads, 0x2000_0000+uint32(p*32))
 		}
 		for f := 0; f < rng.Intn(64); f++ {
-			tw.FlushLines = append(tw.FlushLines, 0x8000_0000+uint64(f*64))
+			tw.FlushLines = append(tw.FlushLines, 0x8000_0000+uint32(f*64))
 		}
 		ft.Tiles = append(ft.Tiles, tw)
 	}
@@ -169,6 +167,55 @@ func TestReadRefusesOverwideQuadFields(t *testing.T) {
 		if uint64(q.Fragments) != tc.fragments || uint64(q.Instr) != tc.instr ||
 			uint64(q.Samples) != tc.samples || uint64(q.TexCount) != tc.lines {
 			t.Errorf("%s: decoded %+v", tc.name, q)
+		}
+	}
+}
+
+// addrTrace encodes a one-tile trace by hand with no quads, no texture
+// lines and no flush lines, whose Parameter Buffer stream declares count
+// addresses and holds the given deltas, so an address can lie outside what
+// Write's 32-bit streams could hold.
+func addrTrace(count uint64, deltas ...int64) []byte {
+	b := append([]byte(magic), version)
+	for _, v := range []uint64{64, 64, 1, 0, 1, 0, 0, 0, 0, 0, 0, count} {
+		b = binary.AppendUvarint(b, v)
+	}
+	for _, d := range deltas {
+		b = binary.AppendVarint(b, d)
+	}
+	return b
+}
+
+// TestReadRefusesOutOfRangeAddresses checks that Read refuses an address
+// outside [0, 2^32) instead of storing it truncated, also where the stream
+// declares more addresses than the input holds, and accepts the extremes.
+func TestReadRefusesOutOfRangeAddresses(t *testing.T) {
+	const top = 1<<32 - 1
+	cases := []struct {
+		name string
+		data []byte
+		want string // error substring; "" accepts
+	}{
+		{"zero and the top address", append(addrTrace(2, 0, top), 0), ""},
+		{"one past the top", append(addrTrace(2, top, 1), 0), "outside the 32-bit address space"},
+		{"negative", append(addrTrace(2, 64, -128), 0), "outside the 32-bit address space"},
+		{"delta wrapping int64", append(addrTrace(2, top, math.MaxInt64), 0), "outside the 32-bit address space"},
+		{"past the top, count beyond the input", addrTrace(1000, 64, 1<<32), "outside the 32-bit address space"},
+		{"in range, count beyond the input", addrTrace(1000, 64, 64), "EOF"},
+	}
+	for _, tc := range cases {
+		ft, err := Read(bytes.NewReader(tc.data))
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: Read = %v, want an error containing %q", tc.name, err, tc.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: Read: %v", tc.name, err)
+		}
+		if got := ft.Tiles[0].PBReads; !reflect.DeepEqual(got, []uint32{0, top}) {
+			t.Errorf("%s: decoded %#x", tc.name, got)
 		}
 	}
 }

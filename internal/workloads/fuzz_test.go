@@ -121,20 +121,17 @@ func FuzzWorkloadGen(f *testing.F) {
 			}
 			var frags int
 			var instr uint64
-			lastEnd := uint32(0)
+			texStart := 0
 			for qi, q := range w.Quads {
 				if q.Fragments == 0 || q.Fragments > 4 {
 					t.Fatalf("tile %d quad %d: %d fragments", tile, qi, q.Fragments)
 				}
-				if q.TexStart < lastEnd {
-					t.Fatalf("tile %d quad %d: texture ranges overlap", tile, qi)
-				}
-				end := q.TexStart + uint32(q.TexCount)
-				if end > uint32(len(w.TexLines)) {
+				end := texStart + int(q.TexCount)
+				if end > len(w.TexLines) {
 					t.Fatalf("tile %d quad %d: texture range [%d,%d) exceeds %d lines",
-						tile, qi, q.TexStart, end, len(w.TexLines))
+						tile, qi, texStart, end, len(w.TexLines))
 				}
-				lastEnd = end
+				texStart = end
 				frags += int(q.Fragments)
 				instr += uint64(q.Instr)
 			}
