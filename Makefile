@@ -119,22 +119,25 @@ cover:
 	awk -v t="$$total" -v m="$(COVERAGE_MIN)" 'BEGIN { exit !(t+0 >= m+0) }' \
 		|| { echo "coverage $$total% is below the $(COVERAGE_MIN)% floor"; exit 1; }
 
-# Byte-identical suite output between serial and fanned-out runs, for the
-# experiment pool (-jobs) and the intra-frame render farm (-sim-workers),
-# composed: the fully parallel run must reproduce the fully serial one.
+# Byte-identical suite output across the experiment pool (-jobs) and the
+# intra-frame render farm it sizes. Each simulation's farm gets the CPUs the
+# pool leaves idle (experiments.SimWorkers), so GOMAXPROCS=4 pins the shapes
+# on any host: -jobs 4 runs four serial simulations, -jobs 1 one 4-worker
+# farm, -jobs 2 two 2-worker farms. Every farm must reproduce the serial
+# engine, with Rendering Elimination off and on.
 determinism:
 	$(GO) build -o /tmp/libra-suite ./cmd/suite
-	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 1 -sim-workers 1 -quiet > /tmp/libra-suite-serial.txt
-	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 1 -quiet > /tmp/libra-suite-jobs4.txt
-	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -quiet > /tmp/libra-suite-par4x4.txt
-	diff -u /tmp/libra-suite-serial.txt /tmp/libra-suite-jobs4.txt
-	diff -u /tmp/libra-suite-serial.txt /tmp/libra-suite-par4x4.txt
-	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 1 -sim-workers 1 -render-elim -quiet > /tmp/libra-suite-re-serial.txt
-	/tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -sim-workers 4 -render-elim -quiet > /tmp/libra-suite-re-par4x4.txt
-	diff -u /tmp/libra-suite-re-serial.txt /tmp/libra-suite-re-par4x4.txt
+	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -quiet > /tmp/libra-suite-serial.txt
+	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 1 -quiet > /tmp/libra-suite-farm4.txt
+	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 2 -quiet > /tmp/libra-suite-farm2x2.txt
+	diff -u /tmp/libra-suite-serial.txt /tmp/libra-suite-farm4.txt
+	diff -u /tmp/libra-suite-serial.txt /tmp/libra-suite-farm2x2.txt
+	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 4 -render-elim -quiet > /tmp/libra-suite-re-serial.txt
+	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 4 -warmup 1 -jobs 1 -render-elim -quiet > /tmp/libra-suite-re-farm4.txt
+	diff -u /tmp/libra-suite-re-serial.txt /tmp/libra-suite-re-farm4.txt
 	$(GO) build -o /tmp/librasim ./cmd/librasim
-	/tmp/librasim -game AnB -rus 2 -frames 4 -sim-workers 4 -json | grep -o '"FrameHash":[0-9]*' > /tmp/libra-hash-off.txt
-	/tmp/librasim -game AnB -rus 2 -frames 4 -sim-workers 4 -render-elim -json | grep -o '"FrameHash":[0-9]*' > /tmp/libra-hash-on.txt
+	GOMAXPROCS=4 /tmp/librasim -game AnB -rus 2 -frames 4 -json | grep -o '"FrameHash":[0-9]*' > /tmp/libra-hash-off.txt
+	GOMAXPROCS=4 /tmp/librasim -game AnB -rus 2 -frames 4 -render-elim -json | grep -o '"FrameHash":[0-9]*' > /tmp/libra-hash-on.txt
 	diff -u /tmp/libra-hash-off.txt /tmp/libra-hash-on.txt
 
 # Capture a real trace and validate its Perfetto-loadable shape.
@@ -145,9 +148,10 @@ trace-smoke:
 	$(GO) run ./cmd/tracecheck -rus 2 /tmp/libra-trace.json /tmp/libra-metrics.json
 
 # Persistent result store, end to end: a cold suite run populates a fresh
-# store, then warm runs — including one with a different parallelism shape —
-# must print byte-identical tables while executing zero simulations (the
-# stderr store line proves it: sims=0).
+# store, then warm runs — including one with a different parallelism shape,
+# a lone simulation whose render farm has 4 workers — must print
+# byte-identical tables while executing zero simulations (the stderr store
+# line proves it: sims=0).
 store-smoke:
 	$(GO) build -o /tmp/libra-suite ./cmd/suite
 	rm -rf /tmp/libra-store-smoke
@@ -155,7 +159,7 @@ store-smoke:
 		-result-dir /tmp/libra-store-smoke > /tmp/libra-store-cold.txt 2> /tmp/libra-store-cold.err
 	/tmp/libra-suite -suite mem -frames 3 -warmup 1 -jobs 4 -quiet \
 		-result-dir /tmp/libra-store-smoke > /tmp/libra-store-warm.txt 2> /tmp/libra-store-warm.err
-	/tmp/libra-suite -suite mem -frames 3 -warmup 1 -jobs 1 -sim-workers 4 -quiet \
+	GOMAXPROCS=4 /tmp/libra-suite -suite mem -frames 3 -warmup 1 -jobs 1 -quiet \
 		-result-dir /tmp/libra-store-smoke > /tmp/libra-store-warm2.txt 2> /tmp/libra-store-warm2.err
 	diff -u /tmp/libra-store-cold.txt /tmp/libra-store-warm.txt
 	diff -u /tmp/libra-store-cold.txt /tmp/libra-store-warm2.txt

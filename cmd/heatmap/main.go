@@ -30,10 +30,7 @@ func main() {
 	)
 	cli.ParseCommandLine()
 
-	cfg := cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH))
-	cli.Refuse(cfg.Validate())
-	run, err := libra.NewRun(cfg, *game)
-	cli.Refuse(err) // an unknown game: cfg is validated
+	run := cli.NewRun(cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH)), *game)
 	results := run.RenderFrames(cli.P.Frames)
 	last := results[len(results)-1]
 

@@ -35,14 +35,12 @@ import (
 )
 
 func main() {
-	// -sim-workers is forced onto every request: host parallelism is the
-	// operator's budget, not the client's.
 	cli := experiments.CLI{Name: "libraserve", P: experiments.DefaultParams()}
 	cli.RegisterServiceFlags(flag.CommandLine)
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 		addrFile    = flag.String("addr-file", "", "write the resolved listen address to this file (for scripts binding port 0)")
-		maxInFlight = flag.Int("max-inflight", experiments.DefaultJobs(), "concurrent simulations before requests queue")
+		maxInFlight = flag.Int("max-inflight", experiments.DefaultJobs(), "concurrent simulations before requests queue; each simulation's render farm gets the CPUs they leave idle")
 		maxQueue    = flag.Int("max-queue", 64, "queued requests before /v1/run answers 429")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request simulation deadline (0 = none); expiry aborts at the next frame boundary with 504")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM/SIGINT before in-flight simulations are aborted at their next frame boundary")
@@ -55,7 +53,6 @@ func main() {
 	// gracefully first, and only the drain-budget expiry aborts simulations.
 	srv, err := serve.NewServer(context.Background(), serve.Config{
 		ResultDir:      cli.ResultDir,
-		SimWorkers:     cli.P.SimWorkers,
 		MaxInFlight:    *maxInFlight,
 		MaxQueue:       *maxQueue,
 		RequestTimeout: *reqTimeout,

@@ -68,8 +68,7 @@ func main() {
 		cfg.RasterUnits = *rus
 		cfg.CoresPerRU = *cores
 		cfg.Policy = libra.Policy(*policy)
-		cli.Refuse(cfg.Validate())
-		singleRun(cli, cfg, *game, *heat, *jsonOut, *screenshot, *traceOut, *metricsOut)
+		singleRun(cli, cli.NewRun(cfg, *game), *heat, *jsonOut, *screenshot, *traceOut, *metricsOut)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -79,7 +78,7 @@ func main() {
 // experimentParams returns the scale of an -experiment run: the standard
 // one (the paper's with -paper), with each of -w, -h, -frames and -l2kb
 // given on the command line taking its value from given. A given -frames
-// brings the warm-up Parse gave it. The host knobs always come from given.
+// brings the warm-up Parse gave it. -render-elim always comes from given.
 func experimentParams(given experiments.Params, paper bool) experiments.Params {
 	p := experiments.DefaultParams()
 	if paper {
@@ -97,7 +96,7 @@ func experimentParams(given experiments.Params, paper bool) experiments.Params {
 			p.L2KB = given.L2KB
 		}
 	})
-	p.SimWorkers, p.RenderElim = given.SimWorkers, given.RenderElim
+	p.RenderElim = given.RenderElim
 	return p
 }
 
@@ -127,9 +126,8 @@ func printSuite() {
 	}
 }
 
-func singleRun(cli *experiments.CLI, cfg libra.Config, game string, heat, jsonOut bool, screenshot, traceOut, metricsOut string) {
-	run, err := libra.NewRun(cfg, game)
-	cli.Refuse(err) // an unknown game: main has validated cfg
+func singleRun(cli *experiments.CLI, run *libra.Run, heat, jsonOut bool, screenshot, traceOut, metricsOut string) {
+	cfg, game := run.Config(), run.Benchmark()
 	var tr *telemetry.Trace
 	if traceOut != "" || metricsOut != "" {
 		tr = telemetry.NewTrace(telemetry.TraceConfig{ClockHz: cfg.ClockHz})

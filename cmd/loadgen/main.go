@@ -63,7 +63,6 @@ func main() {
 		frames    = flag.Int("frames", 2, "frames per request")
 		warmup    = flag.Int("warmup", 0, "warmup frames per request")
 		relim     = flag.Bool("render-elim", false, "set RenderElim in every request's config (server-side Rendering Elimination)")
-		simWork   = flag.Int("sim-workers", 0, "set SimWorkers in every request's config; the server forces its own -sim-workers policy, so this exercises (and must not bypass) that override")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-request client timeout")
 		retries   = flag.Int("retries", 50, "max retries per request on 429/503 backpressure")
 		maxSims   = flag.Int64("max-sims", -1, "fail unless the server's post-run sims count is <= this (-1 = no check; 0 = fully warm)")
@@ -84,10 +83,10 @@ func main() {
 	}}
 
 	if *probe {
-		os.Exit(runProbe(httpc, base, *probeGame, *frames, *warmup, *relim, *simWork, *probeTO))
+		os.Exit(runProbe(httpc, base, *probeGame, *frames, *warmup, *relim, *probeTO))
 	}
 
-	mix := buildMix(*seed, strings.Split(*games, ","), *frames, *warmup, *relim, *simWork, *requests)
+	mix := buildMix(*seed, strings.Split(*games, ","), *frames, *warmup, *relim, *requests)
 	rep, failures := runLoad(httpc, base, mix, *clients, *timeout, *retries)
 	if failures > 0 {
 		fatal(fmt.Errorf("loadgen: %d requests failed", failures))
@@ -146,13 +145,10 @@ func resolveURL(url, addrFile string) (string, error) {
 }
 
 // reqBody builds the /v1/run JSON for one mix entry.
-func reqBody(game string, frames, warmup int, renderElim bool, simWorkers int) string {
+func reqBody(game string, frames, warmup int, renderElim bool) string {
 	re := ""
 	if renderElim {
 		re = `,"RenderElim":true`
-	}
-	if simWorkers > 0 {
-		re += fmt.Sprintf(`,"SimWorkers":%d`, simWorkers)
 	}
 	return fmt.Sprintf(`{"game":%q,"frames":%d,"warmup":%d,"config":{"ScreenW":64,"ScreenH":64,"RasterUnits":1,"CoresPerRU":2%s}}`,
 		game, frames, warmup, re)
@@ -161,14 +157,14 @@ func reqBody(game string, frames, warmup int, renderElim bool, simWorkers int) s
 // buildMix deterministically expands the seed into the full request list;
 // client c replays entries c, c+clients, c+2*clients, ... so the per-client
 // sequence is reproducible for any -clients value.
-func buildMix(seed int64, games []string, frames, warmup int, renderElim bool, simWorkers, n int) []string {
+func buildMix(seed int64, games []string, frames, warmup int, renderElim bool, n int) []string {
 	for i := range games {
 		games[i] = strings.TrimSpace(games[i])
 	}
 	rng := rand.New(rand.NewSource(seed))
 	mix := make([]string, n)
 	for i := range mix {
-		mix[i] = reqBody(games[rng.Intn(len(games))], frames, warmup, renderElim, simWorkers)
+		mix[i] = reqBody(games[rng.Intn(len(games))], frames, warmup, renderElim)
 	}
 	return mix
 }
@@ -177,7 +173,7 @@ func buildMix(seed int64, games []string, frames, warmup int, renderElim bool, s
 // the byte-diff side of the determinism-over-HTTP check. With a probe
 // timeout, hitting the deadline is the expected outcome (the cancellation
 // drill of the smoke test) and exits 0.
-func runProbe(httpc *http.Client, base, game string, frames, warmup int, renderElim bool, simWorkers int, to time.Duration) int {
+func runProbe(httpc *http.Client, base, game string, frames, warmup int, renderElim bool, to time.Duration) int {
 	ctx := context.Background()
 	if to > 0 {
 		var cancel context.CancelFunc
@@ -185,7 +181,7 @@ func runProbe(httpc *http.Client, base, game string, frames, warmup int, renderE
 		defer cancel()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/run",
-		strings.NewReader(reqBody(game, frames, warmup, renderElim, simWorkers)))
+		strings.NewReader(reqBody(game, frames, warmup, renderElim)))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -19,37 +19,47 @@ import (
 )
 
 func main() {
+	cli := experiments.CLI{Name: "tracer", P: experiments.DefaultParams()}
+	flag.IntVar(&cli.P.ScreenW, "w", cli.P.ScreenW, "screen width")
+	flag.IntVar(&cli.P.ScreenH, "h", cli.P.ScreenH, "screen height")
 	var (
-		record  = flag.String("record", "", "record a trace to this file")
-		replay  = flag.String("replay", "", "replay a trace from this file")
-		game    = flag.String("game", "SuS", "benchmark to record")
-		frame   = flag.Int("frame", 4, "animation frame to record (earlier frames warm the caches)")
-		policy  = flag.String("policy", "libra", "replay scheduler policy: "+experiments.PolicyHelp())
-		rus     = flag.Int("rus", 2, "raster units for replay")
-		passes  = flag.Int("passes", 4, "replay passes")
-		screenW = flag.Int("w", experiments.DefaultParams().ScreenW, "screen width")
-		screenH = flag.Int("h", experiments.DefaultParams().ScreenH, "screen height")
+		record = flag.String("record", "", "record a trace to this file")
+		replay = flag.String("replay", "", "replay a trace from this file")
+		game   = flag.String("game", "SuS", "benchmark to record")
+		frame  = flag.Int("frame", 4, "animation frame to record (earlier frames warm the caches)")
+		policy = flag.String("policy", "libra", "replay scheduler policy: "+experiments.PolicyHelp())
+		rus    = flag.Int("rus", 2, "raster units for replay")
+		passes = flag.Int("passes", 4, "replay passes")
 	)
-	flag.Parse()
+	cli.ParseCommandLine()
 
 	switch {
 	case *record != "":
-		doRecord(*record, *game, *frame, *screenW, *screenH)
+		if *frame < 0 {
+			cli.Refuse(fmt.Errorf("frame %d < 0", *frame))
+		}
+		doRecord(&cli, *record, *game, *frame)
 	case *replay != "":
-		doReplay(*replay, *policy, *rus, *passes, *screenW, *screenH)
+		cfg := cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH))
+		cfg.RasterUnits = *rus
+		cfg.CoresPerRU = 4
+		if *rus == 1 {
+			cfg.CoresPerRU = 8
+		}
+		cfg.Policy = libra.Policy(*policy)
+		cli.Refuse(cfg.Validate())
+		if *passes < 1 {
+			cli.Refuse(fmt.Errorf("passes %d < 1", *passes))
+		}
+		doReplay(*replay, cfg, *passes)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-func doRecord(path, game string, frame, w, h int) {
-	cfg := libra.DefaultConfig(w, h)
-	cfg.L2KB = experiments.DefaultParams().L2KB
-	run, err := libra.NewRun(cfg, game)
-	if err != nil {
-		fail(err)
-	}
+func doRecord(cli *experiments.CLI, path, game string, frame int) {
+	run := cli.NewRun(cli.P.Apply(libra.DefaultConfig(cli.P.ScreenW, cli.P.ScreenH)), game)
 	// Warm frames keep the captured frame representative of steady state.
 	for i := 0; i < frame; i++ {
 		run.RenderFrame()
@@ -65,24 +75,16 @@ func doRecord(path, game string, frame, w, h int) {
 		game, res.Frame, len(data), res.Fragments, res.TotalCycles)
 }
 
-func doReplay(path, policy string, rus, passes, w, h int) {
+func doReplay(path string, cfg libra.Config, passes int) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fail(err)
 	}
-	cfg := libra.DefaultConfig(w, h)
-	cfg.L2KB = experiments.DefaultParams().L2KB
-	cfg.RasterUnits = rus
-	cfg.CoresPerRU = 4
-	if rus == 1 {
-		cfg.CoresPerRU = 8
-	}
-	cfg.Policy = libra.Policy(policy)
 	results, err := libra.ReplayTrace(cfg, data, passes)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("replay of %s under policy=%s rus=%d\n", path, policy, rus)
+	fmt.Printf("replay of %s under policy=%s rus=%d\n", path, cfg.Policy, cfg.RasterUnits)
 	for _, r := range results {
 		fmt.Printf("pass %d: %9d cycles  sched=%-12s texHit=%.3f texLat=%5.1f dram=%d\n",
 			r.Pass, r.RasterCycles, r.Scheduler, r.TexHitRatio, r.AvgTexLatency, r.DRAMAccesses)

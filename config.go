@@ -83,8 +83,9 @@ type Config struct {
 	// that many host worker goroutines (intra-frame parallelism); 0 or 1 is
 	// the serial reference engine. Results are byte-identical for any value:
 	// cycle counts, statistics, telemetry and frame hashes do not change.
-	// Compose with the experiment drivers' -jobs fan-out: -jobs spreads
-	// *across* simulations, SimWorkers speeds up each *single* simulation.
+	// The command-line tools and the service set it themselves, from the
+	// CPUs their concurrent simulations leave idle (experiments.SimWorkers).
+	// Validate refuses a value above MaxSimWorkers.
 	SimWorkers int
 
 	Policy Policy
@@ -92,8 +93,10 @@ type Config struct {
 	// and PolicyTemperature (2, 4, 8 or 16).
 	SupertileSize int
 
-	// Adaptive thresholds (§III-D); zero means the paper's defaults
-	// (80% hit ratio, 3% order switch, 0.25% supertile resize).
+	// Adaptive thresholds (§III-D); zero means sched.DefaultAdaptiveConfig:
+	// a 92% hit ratio (the paper's 80%, recalibrated to this simulator's
+	// coalesced-sample scale; DESIGN.md §5), 3% order switch and 0.25%
+	// supertile resize.
 	HitRatioThreshold        float64
 	OrderSwitchThreshold     float64
 	SupertileResizeThreshold float64
@@ -180,6 +183,11 @@ func LIBRA(screenW, screenH, rasterUnits int) Config {
 // ask the simulator to allocate terabytes before higher layers ever see it.
 const MaxScreenDim = 16384
 
+// MaxSimWorkers bounds Config.SimWorkers. A run builds one renderer per
+// worker before its first frame, so without a bound a configuration decoded
+// from a network request could ask for gigabytes of renderers up front.
+const MaxSimWorkers = 1024
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.ScreenW <= 0 || c.ScreenH <= 0 {
@@ -192,8 +200,8 @@ func (c Config) Validate() error {
 	if c.RasterUnits < 1 || c.CoresPerRU < 1 {
 		return fmt.Errorf("libra: need at least one raster unit and core")
 	}
-	if c.SimWorkers < 0 {
-		return fmt.Errorf("libra: negative sim workers %d", c.SimWorkers)
+	if c.SimWorkers < 0 || c.SimWorkers > MaxSimWorkers {
+		return fmt.Errorf("libra: sim workers %d outside [0, %d]", c.SimWorkers, MaxSimWorkers)
 	}
 	if c.Policy != "" && !slices.Contains(core.Modes(), core.Mode(c.Policy)) {
 		return fmt.Errorf("libra: unknown policy %q", c.Policy)

@@ -29,15 +29,11 @@ type Params struct {
 	// L2KB scales the shared L2 with the screen so the cache-to-working-set
 	// ratio of the FHD evaluation is preserved (0 = Table I's 2 MB).
 	L2KB int
-	// SimWorkers shards each simulation's functional rasterization across
-	// that many host workers (libra.Config.SimWorkers); 0/1 = serial. All
-	// results — and hence every figure and table — are byte-identical for
-	// any value.
-	SimWorkers int
 	// RenderElim enables Rendering Elimination on every simulation the
-	// experiments run (libra.Config.RenderElim). Unlike SimWorkers it IS
-	// part of a result's identity: skipped tiles change cycle and energy
-	// accounting (never pixels), so it participates in store keys.
+	// experiments run (libra.Config.RenderElim). Unlike the render-farm
+	// width it IS part of a result's identity: skipped tiles change cycle
+	// and energy accounting (never pixels), so it participates in store
+	// keys.
 	RenderElim bool
 }
 
@@ -53,25 +49,22 @@ func PaperParams() Params {
 }
 
 // Validate reports the first value no simulation can run with: a frame
-// window of fewer than one frame, a warm-up outside [0, frames), a
-// negative worker count, or an L2 size libra.ValidateL2KB refuses.
+// window of fewer than one frame, a warm-up outside [0, frames), or an L2
+// size libra.ValidateL2KB refuses.
 func (p Params) Validate() error {
 	switch {
 	case p.Frames < 1:
 		return fmt.Errorf("frames %d < 1", p.Frames)
 	case p.Warmup < 0 || p.Warmup >= p.Frames:
 		return fmt.Errorf("warmup %d outside [0, frames)", p.Warmup)
-	case p.SimWorkers < 0:
-		return fmt.Errorf("negative sim workers %d", p.SimWorkers)
 	}
 	return libra.ValidateL2KB(p.L2KB)
 }
 
 // Apply returns cfg with the settings p gives every simulation it runs: the
-// L2 size and the SimWorkers and RenderElim host knobs.
+// L2 size and Rendering Elimination.
 func (p Params) Apply(cfg libra.Config) libra.Config {
 	cfg.L2KB = p.L2KB
-	cfg.SimWorkers = p.SimWorkers
 	cfg.RenderElim = p.RenderElim
 	return cfg
 }
@@ -153,9 +146,10 @@ func NewRunner(p Params) *Runner {
 }
 
 // SetJobs bounds the concurrent simulations of the figure and ablation
-// drivers; n <= 0 restores DefaultJobs. Results are independent of n: every
-// driver collects into pre-indexed slots and the simulator itself is
-// deterministic per (config, game).
+// drivers; n <= 0 restores DefaultJobs. Each simulation the runner executes
+// runs on the render farm SimWorkers gives that width. Results are
+// independent of n: every driver collects into pre-indexed slots and the
+// simulator itself is deterministic per (config, game).
 func (r *Runner) SetJobs(n int) { r.pool = NewPool(n) }
 
 // Sims returns how many simulations the runner actually executed — followers
@@ -214,7 +208,10 @@ func (r *Runner) TryRun(cfg libra.Config, game string) (*GameRun, error) {
 
 // TryRunContext simulates (or recalls) the given benchmark under cfg.
 // Concurrent calls with the same key execute the simulation exactly once:
-// one caller leads, the rest follow and share its result.
+// one caller leads, the rest follow and share its result. The caller's
+// cfg.SimWorkers is ignored: the key, the store and the telemetry factory
+// see it as 0, and the simulation runs on the farm SimWorkers gives the
+// runner's pool width.
 //
 // Error contract: the leader receives the underlying error; every follower
 // of a failed leader receives an error matching ErrLeaderFailed (wrapping
@@ -229,6 +226,7 @@ func (r *Runner) TryRun(cfg libra.Config, game string) (*GameRun, error) {
 // retried transparently while its own ctx is live — one waiter's abort
 // never fails another (see ErrLeaderFailed).
 func (r *Runner) TryRunContext(ctx context.Context, cfg libra.Config, game string) (*GameRun, error) {
+	cfg.SimWorkers = 0
 	for {
 		run, err := r.runFlight(ctx, cfg, game)
 		if err != nil && ctx.Err() == nil &&
@@ -335,14 +333,17 @@ func (r *Runner) lead(ctx context.Context, cfg libra.Config, game string) (gr *G
 	return gr, nil
 }
 
-// execute performs the actual simulation (or the test stub), honoring ctx at
-// frame boundaries: a cancelled simulation returns ctx's error within one
-// frame of work and its partial frames are discarded.
+// execute performs the actual simulation (or the test stub) on the render
+// farm SimWorkers gives the runner's pool width, honoring ctx at frame
+// boundaries: a cancelled simulation returns ctx's error within one frame of
+// work and its partial frames are discarded.
 func (r *Runner) execute(ctx context.Context, cfg libra.Config, game string) (*GameRun, error) {
+	farm := cfg
+	farm.SimWorkers = SimWorkers(r.pool.Jobs())
 	if r.simulate != nil {
-		return r.simulate(ctx, cfg, game)
+		return r.simulate(ctx, farm, game)
 	}
-	run, err := libra.NewRun(cfg, game)
+	run, err := libra.NewRun(farm, game)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

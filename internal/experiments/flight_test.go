@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -81,6 +82,31 @@ func TestFollowerErrorContract(t *testing.T) {
 	run, err := r.TryRun(cfg, "Jet")
 	if err != nil || run == nil {
 		t.Fatalf("retry after failed leader: %v", err)
+	}
+}
+
+// TestSimWorkersShareOneFlight: callers whose configurations differ only in
+// SimWorkers ask for one result, so they share one flight, and the
+// simulation runs at the width the rule gives the runner's pool, whatever
+// the callers asked for.
+func TestSimWorkersShareOneFlight(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	r := NewRunner(storeParams())
+	r.SetJobs(2)
+	var widths []int
+	r.SetSimulate(func(_ context.Context, cfg libra.Config, game string) (*GameRun, error) {
+		widths = append(widths, cfg.SimWorkers)
+		return &GameRun{Game: game}, nil
+	})
+	for _, n := range []int{0, 1, 7} {
+		cfg := r.Baseline()
+		cfg.SimWorkers = n
+		if _, err := r.TryRun(cfg, "Jet"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(widths) != 1 || widths[0] != 2 {
+		t.Errorf("simulations ran at widths %v, want one at width 2 (GOMAXPROCS 4 over 2 jobs)", widths)
 	}
 }
 

@@ -17,13 +17,13 @@ import (
 )
 
 // CLI is the command-line path librasim, suite, sweep and libraserve share.
-// The host flags (-jobs, -sim-workers, -render-elim, -result-dir) with their
-// LIBRA_* fallbacks, the frame-window rules, the runner and result-store
-// set-up, the fan-out loop and the Ctrl-C exit are each written here once;
-// a front-end declares only the flags that are its own.
+// The host flags (-jobs, -render-elim, -result-dir) with their LIBRA_*
+// fallbacks, the frame-window rules, the runner and result-store set-up,
+// the single-run path, the fan-out loop and the Ctrl-C exit are each
+// written here once; a front-end declares only the flags that are its own.
 type CLI struct {
 	Name string // command name: the prefix of its stderr lines
-	P    Params // the experiment scale; -sim-workers and -render-elim bind here
+	P    Params // the experiment scale; -render-elim binds here
 	// Jobs bounds concurrent simulations (-jobs, <= 0 = DefaultJobs).
 	Jobs int
 	// ResultDir, when non-empty, is the persistent result store (-result-dir).
@@ -50,8 +50,8 @@ func NewCLI(ctx context.Context, name string, p Params) *CLI {
 func (c *CLI) Context() context.Context { return c.ctx }
 
 // RegisterFlags declares the host flags the batch front-ends share on fs:
-// -jobs, -sim-workers, -render-elim and -result-dir. Each defaults to its
-// LIBRA_* environment variable when that holds a valid value.
+// -jobs, -render-elim and -result-dir. Each defaults to its LIBRA_*
+// environment variable when that holds a valid value.
 func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Jobs, "jobs", DefaultJobs(),
 		"concurrent simulations (<=0 = NumCPU, or $LIBRA_JOBS)")
@@ -61,11 +61,9 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	c.RegisterServiceFlags(fs)
 }
 
-// RegisterServiceFlags declares the two host flags libraserve takes:
-// -sim-workers (which it forces onto every request) and -result-dir.
+// RegisterServiceFlags declares the one host flag libraserve takes:
+// -result-dir.
 func (c *CLI) RegisterServiceFlags(fs *flag.FlagSet) {
-	fs.IntVar(&c.P.SimWorkers, "sim-workers", envPositive("LIBRA_SIM_WORKERS", 1),
-		"intra-frame rasterization workers per simulation (1 = serial reference engine, or $LIBRA_SIM_WORKERS); results are byte-identical for any value")
 	ResultDirVar(fs, &c.ResultDir, "result-dir",
 		"persistent result store directory (or $LIBRA_RESULT_DIR; empty = store disabled)")
 }
@@ -136,6 +134,16 @@ func (c *CLI) Refuse(err error) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", c.Name, err)
 		os.Exit(2)
 	}
+}
+
+// NewRun builds the front-end's one simulation, of game under cfg, on the
+// render farm SimWorkers gives a lone simulation. A configuration Validate
+// refuses, or an unknown game, is refused (exit 2) before anything renders.
+func (c *CLI) NewRun(cfg libra.Config, game string) *libra.Run {
+	cfg.SimWorkers = SimWorkers(1)
+	run, err := libra.NewRun(cfg, game)
+	c.Refuse(err)
+	return run
 }
 
 // Runner returns the front-end's runner, built on first use: the scale in

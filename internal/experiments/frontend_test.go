@@ -19,11 +19,11 @@ import (
 // falls back to the built-in default.
 func TestHostFlagDefaults(t *testing.T) {
 	type want struct {
-		jobs, simWorkers int
-		renderElim       bool
-		resultDir        string
+		jobs       int
+		renderElim bool
+		resultDir  string
 	}
-	def := want{jobs: runtime.NumCPU(), simWorkers: 1}
+	def := want{jobs: runtime.NumCPU()}
 	with := func(f func(*want)) want { w := def; f(&w); return w }
 	cases := []struct {
 		env  map[string]string
@@ -34,10 +34,6 @@ func TestHostFlagDefaults(t *testing.T) {
 		{map[string]string{"LIBRA_JOBS": "garbage"}, def},
 		{map[string]string{"LIBRA_JOBS": "-2"}, def},
 		{map[string]string{"LIBRA_JOBS": "0"}, def},
-		{map[string]string{"LIBRA_SIM_WORKERS": "4"}, with(func(w *want) { w.simWorkers = 4 })},
-		{map[string]string{"LIBRA_SIM_WORKERS": "0"}, def},
-		{map[string]string{"LIBRA_SIM_WORKERS": "-1"}, def},
-		{map[string]string{"LIBRA_SIM_WORKERS": "x"}, def},
 		{map[string]string{"LIBRA_RENDER_ELIM": "1"}, with(func(w *want) { w.renderElim = true })},
 		{map[string]string{"LIBRA_RENDER_ELIM": "true"}, with(func(w *want) { w.renderElim = true })},
 		{map[string]string{"LIBRA_RENDER_ELIM": "0"}, def},
@@ -51,7 +47,7 @@ func TestHostFlagDefaults(t *testing.T) {
 			name = k + "=" + v
 		}
 		t.Run(name, func(t *testing.T) {
-			for _, k := range []string{"LIBRA_JOBS", "LIBRA_SIM_WORKERS", "LIBRA_RENDER_ELIM", "LIBRA_RESULT_DIR"} {
+			for _, k := range []string{"LIBRA_JOBS", "LIBRA_RENDER_ELIM", "LIBRA_RESULT_DIR"} {
 				t.Setenv(k, tc.env[k])
 			}
 			c := CLI{P: DefaultParams()}
@@ -60,7 +56,7 @@ func TestHostFlagDefaults(t *testing.T) {
 			if err := c.Parse(fs, nil); err != nil {
 				t.Fatal(err)
 			}
-			got := want{c.Jobs, c.P.SimWorkers, c.P.RenderElim, c.ResultDir}
+			got := want{c.Jobs, c.P.RenderElim, c.ResultDir}
 			if got != tc.want {
 				t.Errorf("defaults = %+v, want %+v", got, tc.want)
 			}
@@ -76,16 +72,16 @@ func TestHostFlagDefaults(t *testing.T) {
 	}
 }
 
-// TestServiceFlagsAreASubset pins what libraserve registers: -sim-workers
-// and -result-dir, and neither -jobs nor -render-elim.
+// TestServiceFlagsAreASubset pins what libraserve registers: -result-dir,
+// and neither -jobs nor -render-elim.
 func TestServiceFlagsAreASubset(t *testing.T) {
 	var c CLI
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	c.RegisterServiceFlags(fs)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got := strings.Join(names, ","); got != "result-dir,sim-workers" {
-		t.Errorf("service flags = %s, want result-dir,sim-workers", got)
+	if got := strings.Join(names, ","); got != "result-dir" {
+		t.Errorf("service flags = %s, want result-dir", got)
 	}
 }
 
@@ -103,8 +99,6 @@ func TestParamsValidate(t *testing.T) {
 		{"frames -1", with(func(p *Params) { p.Frames, p.Warmup = -1, 0 }), false},
 		{"warmup -1", with(func(p *Params) { p.Warmup = -1 }), false},
 		{"warmup = frames", with(func(p *Params) { p.Warmup = p.Frames }), false},
-		{"sim-workers -1", with(func(p *Params) { p.SimWorkers = -1 }), false},
-		{"sim-workers 0", with(func(p *Params) { p.SimWorkers = 0 }), true},
 		{"l2kb 0", with(func(p *Params) { p.L2KB = 0 }), true},
 		{"l2kb 512", with(func(p *Params) { p.L2KB = 512 }), true},
 		{"l2kb 576", with(func(p *Params) { p.L2KB = 576 }), false},
@@ -136,7 +130,6 @@ func TestParseWarmupRule(t *testing.T) {
 		{true, []string{"-frames", "4", "-warmup", "1"}, 1, true},
 		{true, []string{"-frames", "2", "-warmup", "5"}, 5, false},
 		{true, []string{"-frames", "-1"}, 0, false},
-		{false, []string{"-sim-workers", "-1"}, 2, false},
 	}
 	for _, tc := range cases {
 		c := CLI{P: DefaultParams()}
@@ -155,13 +148,12 @@ func TestParseWarmupRule(t *testing.T) {
 }
 
 // hostFlagNames are the flags RegisterFlags alone may declare.
-var hostFlagNames = map[string]bool{"jobs": true, "sim-workers": true, "render-elim": true, "result-dir": true}
+var hostFlagNames = map[string]bool{"jobs": true, "render-elim": true, "result-dir": true}
 
 // parityExempt lists the declarations the parity walk allows: loadgen's
-// -sim-workers and -render-elim set fields of the request bodies it sends,
-// not host knobs of its own.
+// -render-elim sets a field of the request bodies it sends, not a host knob
+// of its own.
 var parityExempt = map[string]bool{
-	"cmd/loadgen/main.go -sim-workers": true,
 	"cmd/loadgen/main.go -render-elim": true,
 }
 
@@ -228,8 +220,8 @@ func parityViolations(t *testing.T, root string) []string {
 }
 
 // TestFlagParity keeps every front-end on the shared host flags: no
-// cmd/*/main.go declares -jobs, -sim-workers, -render-elim or -result-dir
-// itself, and RegisterFlags declares each exactly once.
+// cmd/*/main.go declares -jobs, -render-elim or -result-dir itself, and
+// RegisterFlags declares each exactly once.
 func TestFlagParity(t *testing.T) {
 	if bad := parityViolations(t, filepath.Join("..", "..")); len(bad) > 0 {
 		t.Errorf("host flags declared outside experiments.CLI.RegisterFlags:\n%s", strings.Join(bad, "\n"))

@@ -4,12 +4,25 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	libra "repro"
 )
 
 // DefaultJobs returns the fan-out width used when no explicit -jobs value is
 // given: the LIBRA_JOBS environment variable when it holds a positive
 // integer, otherwise runtime.NumCPU().
 func DefaultJobs() int { return envPositive("LIBRA_JOBS", runtime.NumCPU()) }
+
+// SimWorkers is the render-farm width (libra.Config.SimWorkers) of each
+// simulation when a process runs concurrent simulations at once: the CPUs
+// they leave idle, max(1, GOMAXPROCS/concurrent), at most
+// libra.MaxSimWorkers. A pool as wide as the CPU count (the -jobs default)
+// runs every simulation serially; a lone simulation gets every CPU. Results
+// are byte-identical at any width.
+func SimWorkers(concurrent int) int {
+	n := runtime.GOMAXPROCS(0) / max(concurrent, 1)
+	return min(max(n, 1), libra.MaxSimWorkers)
+}
 
 // Pool fans indexed jobs out to a bounded set of workers. Workers pull the
 // next index from a shared atomic counter, so load balances dynamically even

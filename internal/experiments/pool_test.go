@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,24 @@ func TestDefaultJobsEnvOverride(t *testing.T) {
 	t.Setenv("LIBRA_JOBS", "-2")
 	if got := DefaultJobs(); got < 1 {
 		t.Errorf("negative LIBRA_JOBS must fall back to NumCPU, got %d", got)
+	}
+}
+
+// TestSimWorkersRule pins the render-farm width rule at fixed GOMAXPROCS
+// values: the CPUs that concurrent simulations leave idle, at least one.
+func TestSimWorkersRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cases := []struct{ procs, concurrent, want int }{
+		{4, 1, 4}, {4, 2, 2}, {4, 3, 1}, {4, 4, 1}, {4, 16, 1},
+		{4, 0, 4}, {4, -1, 4}, // no pool width: a lone simulation
+		{2, 1, 2}, {2, 2, 1},
+		{1, 1, 1}, {1, 4, 1},
+	}
+	for _, tc := range cases {
+		runtime.GOMAXPROCS(tc.procs)
+		if got := SimWorkers(tc.concurrent); got != tc.want {
+			t.Errorf("GOMAXPROCS=%d: SimWorkers(%d) = %d, want %d", tc.procs, tc.concurrent, got, tc.want)
+		}
 	}
 }
 

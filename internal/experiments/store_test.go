@@ -37,8 +37,9 @@ func storeRunner(t *testing.T, dir string) *Runner {
 
 // TestStoreWarmRunSimulatesNothing is the core acceptance property: a second
 // runner sharing the store directory recalls every result with zero
-// simulations, and the recalled runs equal the originals — including under a
-// different SimWorkers setting, which is excluded from the key by design.
+// simulations, and the recalled runs equal the originals — including when
+// the caller's configuration asks for a render farm, which is excluded from
+// the key by design.
 func TestStoreWarmRunSimulatesNothing(t *testing.T) {
 	dir := t.TempDir()
 	cold := storeRunner(t, dir)
@@ -56,9 +57,11 @@ func TestStoreWarmRunSimulatesNothing(t *testing.T) {
 	}
 
 	warm := storeRunner(t, dir)
-	warm.P.SimWorkers = 4 // host parallelism must not change the key
+	warm.SetJobs(1)
+	farm := warm.Baseline()
+	farm.SimWorkers = 4 // host parallelism must not change the key
 	for _, g := range games {
-		run, err := warm.TryRun(warm.Baseline(), g)
+		run, err := warm.TryRun(farm, g)
 		if err != nil {
 			t.Fatal(err)
 		}

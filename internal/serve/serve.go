@@ -39,12 +39,11 @@ type Config struct {
 	// every simulation the service runs (warm requests answer from disk with
 	// zero simulations).
 	ResultDir string
-	// SimWorkers is forced onto every accepted configuration: host
-	// parallelism is the operator's budget, not the client's. Store keys
-	// exclude it, so it never splits the cache.
-	SimWorkers int
 	// MaxInFlight bounds concurrently executing requests; MaxQueue bounds
-	// the waiters behind them. Beyond both, /v1/run answers 429.
+	// the waiters behind them. Beyond both, /v1/run answers 429. Each
+	// simulation's render farm gets the CPUs that MaxInFlight simulations
+	// leave idle (experiments.SimWorkers); a client's Config.SimWorkers is
+	// ignored.
 	MaxInFlight int
 	MaxQueue    int
 	// RequestTimeout, when positive, caps each request's simulation time;
@@ -176,8 +175,8 @@ func (s *Server) runner(frames, warmup int) *experiments.Runner {
 	p := experiments.DefaultParams()
 	p.Frames = frames
 	p.Warmup = warmup
-	p.SimWorkers = s.cfg.SimWorkers
 	r := experiments.NewRunner(p)
+	r.SetJobs(s.adm.MaxInFlight())
 	if s.store != nil {
 		r.SetStore(s.store)
 	}
@@ -260,9 +259,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Host parallelism is server policy, not client input.
-	req.Config.SimWorkers = s.cfg.SimWorkers
-
 	if wantTrace {
 		s.streamTrace(ctx, w, req)
 		return
@@ -294,9 +290,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamTrace runs the requested simulation outside the cache (a trace is a
-// diagnostic of one fresh run, not a memoizable result) and streams its
-// Chrome trace-event JSON as the response body.
+// diagnostic of one fresh run, not a memoizable result), on the render farm
+// a runner gives its simulations, and streams its Chrome trace-event JSON as
+// the response body.
 func (s *Server) streamTrace(ctx context.Context, w http.ResponseWriter, req RunRequest) {
+	req.Config.SimWorkers = experiments.SimWorkers(s.adm.MaxInFlight())
 	run, err := libra.NewRun(req.Config, req.Game)
 	if err != nil {
 		s.reg.Counter(MetricBad).Inc()

@@ -130,6 +130,7 @@ func TestRunRejectsMalformed(t *testing.T) {
 		{"l2 set count not a power of two", `{"game":"Jet","config":{"L2KB":576}}`, http.StatusBadRequest},
 		{"tiny l2", `{"game":"Jet","config":{"L2KB":3}}`, http.StatusBadRequest},
 		{"l2 above the bound", fmt.Sprintf(`{"game":"Jet","config":{"L2KB":%d}}`, 2*libra.MaxL2KB), http.StatusBadRequest},
+		{"sim workers above the bound", fmt.Sprintf(`{"game":"Jet","config":{"SimWorkers":%d}}`, libra.MaxSimWorkers+1), http.StatusBadRequest},
 		{"oversized body", `{"game":"Jet","config":{"Filtering":"` + strings.Repeat("x", MaxRequestBody) + `"}}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -404,6 +405,35 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 	if st.Requests[MetricOK] != 1 || st.Sims != 1 {
 		t.Errorf("stats after one run: ok=%d sims=%d, want 1/1", st.Requests[MetricOK], st.Sims)
+	}
+}
+
+// TestRunIgnoresClientSimWorkers: the render-farm width is the server's to
+// choose. A request asking for 7 workers gets the bytes of one asking for
+// none, from the same simulation, and still streams a trace.
+func TestRunIgnoresClientSimWorkers(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInFlight: 2, MaxQueue: 2, EnableTrace: true})
+	plain := tinyBody("Jet", 2)
+	asked := strings.Replace(plain, `"CoresPerRU":2`, `"CoresPerRU":2,"SimWorkers":7`, 1)
+	resp, askedBody := postRun(t, ts.URL, asked)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("SimWorkers 7: status %d, body %s", resp.StatusCode, askedBody)
+	}
+	_, plainBody := postRun(t, ts.URL, plain)
+	if !bytes.Equal(askedBody, plainBody) {
+		t.Fatalf("SimWorkers 7 changed the body:\n%s\n%s", askedBody, plainBody)
+	}
+	if s.Sims() != 1 {
+		t.Errorf("sims = %d, want 1 (SimWorkers is not part of the result's identity)", s.Sims())
+	}
+	resp, err := http.Post(ts.URL+"/v1/run?trace=1", "application/json", strings.NewReader(asked))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(raw, []byte(`"traceEvents"`)) {
+		t.Fatalf("traced SimWorkers 7 request: status %d, body %.120s", resp.StatusCode, raw)
 	}
 }
 

@@ -30,6 +30,11 @@ func TestConfigValidate(t *testing.T) {
 		// count overflows an int.
 		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, L2KB: 2 * MaxL2KB},
 		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, L2KB: math.MaxInt},
+		// Worker counts outside [0, MaxSimWorkers]. Validate only compares:
+		// no farm is built.
+		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, SimWorkers: -1},
+		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, SimWorkers: MaxSimWorkers + 1},
+		{ScreenW: 100, ScreenH: 100, RasterUnits: 1, CoresPerRU: 1, SimWorkers: math.MaxInt},
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
@@ -41,6 +46,13 @@ func TestConfigValidate(t *testing.T) {
 		cfg.L2KB = kb
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("L2KB %d refused: %v", kb, err)
+		}
+	}
+	for _, n := range []int{0, 1, 4, MaxSimWorkers} {
+		cfg := DefaultConfig(tw, th)
+		cfg.SimWorkers = n
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("SimWorkers %d refused: %v", n, err)
 		}
 	}
 }
